@@ -150,10 +150,16 @@ CLOSED_REPLANS = 4
 
 def closed_replans(workload: str, seed: int) -> list[tuple[ClusterEvent, ...]]:
     """Chained churn: seed-chosen inference ranks leave and rejoin in turn,
-    so every replan plans a cluster of about the same size."""
+    so every replan plans a cluster of about the same size.  The ranks
+    rotate over the inference device types, so every seed churns the same
+    types."""
     cluster = setup_request(workload).resolve_cluster()
     rng = random.Random(f"{seed}:{workload}:replans")
-    workers = rng.sample(cluster.inference_workers, (CLOSED_REPLANS + 1) // 2)
+    by_type: dict[str, list] = {}
+    for w in cluster.inference_workers:
+        by_type.setdefault(w.device.name, []).append(w)
+    pools = [rng.sample(ws, len(ws)) for _, ws in sorted(by_type.items())]
+    workers = [pools[i % len(pools)][i // len(pools)] for i in range((CLOSED_REPLANS + 1) // 2)]
     events = []
     for w in workers:
         events.append((ClusterEvent(time=0.0, kind="leave", rank=w.rank),))
