@@ -32,6 +32,7 @@ import random
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import threading
@@ -45,18 +46,27 @@ sys.path.insert(0, str(HERE))
 
 perf_counter = time.perf_counter
 
-#: Cold set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Cold set-ups per run, before and after the timed phase; ``setup_s`` is
+#: the median of all of them.  Splitting them keeps one slow spell of a
+#: shared machine from setting them all.
+SETUPS_BEFORE = 3
+SETUPS_AFTER = 2
 #: Closed-loop stream requests behind ``sim_iter_ms`` and ``lowp_op_frac``.
 #: A run that times fewer plans them after the timed phase, so both figures
 #: depend only on the seed, never on speed.
 MODEL_PREFIX = 8
+#: Closed loops read the peak RSS after this many operations.  A warm
+#: session's memory grows with every distinct request it plans, so a read
+#: at the end of the timed phase would depend on how many requests the
+#: machine got through.
+RSS_OPS = 12
 #: Timed requests per closed-loop run re-planned by a fresh session.
 CLOSED_SAMPLE = 1
 #: Served plan requests re-planned by a direct session, and served
 #: replans re-planned cold.
 SERVE_SAMPLE = 2
-#: Client threads of the open loop, one per core of the 2-core reference machine.
+#: Client threads of the open loop, one per core of the 2-core reference
+#: machine.  Hot pairs are handed to both clients at once, so it must be 2.
 CLIENTS = 2
 #: The fixed latency limit behind ``goodput_per_s``, per workload.
 LATENCY_LIMIT_S = {"fleet_whatif": 5.0, "deep_whatif": 5.0, "serve_churn": 2.5}
@@ -92,6 +102,7 @@ class Rec:
     kind: str  # "plan", "replan" or "restart"
     tag: str
     request: object = None
+    events: tuple = ()  # a replan's membership events
     outcome: object = None  # PlanOutcome (a replan's new plan included)
     replan: object = None  # ReplanOutcome
     latency: float = 0.0
@@ -175,19 +186,21 @@ class ModelFigures:
 # ---------------------------------------------------------------------------
 
 
-def cold_setups(make, first_request):
-    """Median time from a cold session/service to its first finished plan;
-    returns the last (warm) instance too."""
+def cold_setups(make, first_request, repeats):
+    """Times from a cold session/service to its first finished plan;
+    returns the first instance too."""
     times = []
-    instance = None
-    for _ in range(SETUP_REPEATS):
-        instance = None
+    first = None
+    for _ in range(repeats):
         gc.collect()
         t0 = perf_counter()
         instance = make()
         instance.plan(first_request)
         times.append(perf_counter() - t0)
-    return statistics.median(times), instance
+        if first is None:
+            first = instance
+        del instance
+    return times, first
 
 
 def warm_stats(session, request) -> None:
@@ -209,34 +222,41 @@ def timed_call(fn, *args):
     return result, error, perf_counter() - t0
 
 
-def closed_pass(session, requests, replans, setup_req, seconds=None):
-    """Plan ``requests`` (an iterator) back to back until ``seconds`` have
-    passed (or the iterator ends), then run the chained replans.  Also
-    returns the generator lag: how long each request took to issue after
-    the client became ready."""
+def closed_pass(session, ops, setup_req, seconds=None):
+    """Run ``ops`` (an iterator of ``("plan", request)`` and ``("replan",
+    events)``) back to back until ``seconds`` have passed or the iterator
+    ends.  Each replan continues the churn chain from the previous replan's
+    context, starting at ``setup_req``.  Also returns the generator lag
+    (how long each operation took to issue after the client became ready)
+    and the peak RSS after ``RSS_OPS`` operations, or at the end if fewer
+    ran."""
     recs = []
     lags = []
+    ctx = setup_req
     start = ready = perf_counter()
     deadline = None if seconds is None else start + seconds
-    for request in requests:
+    for kind, payload in ops:
         now = perf_counter()
         if deadline is not None and now >= deadline:
             break
         lags.append(now - ready)
-        outcome, error, latency = timed_call(session.plan, request)
+        if kind == "plan":
+            outcome, error, latency = timed_call(session.plan, payload)
+            rec = Rec(len(recs), kind, payload.strategy, payload, outcome=outcome,
+                      latency=latency, error=error)
+        else:
+            rep, error, latency = timed_call(session.replan, ctx, payload)
+            rec = Rec(len(recs), kind, payload[0].kind, ctx, payload, rep and rep.outcome, rep,
+                      latency=latency, error=error)
+            if rep is not None:
+                ctx = rep.context
         ready = perf_counter()
-        recs.append(Rec(len(recs), "plan", request.strategy, request, outcome, latency=latency,
-                        error=error))
-    wall = perf_counter() - start
-    ctx = setup_req
-    for events in replans:
-        rep, error, latency = timed_call(session.replan, ctx, events)
-        recs.append(Rec(len(recs), "replan", events[0].kind, ctx, rep and rep.outcome, rep,
-                        latency=latency, error=error))
-        if rep is None:
-            break
-        ctx = rep.context
-    return recs, wall, lags
+        recs.append(rec)
+        if len(recs) == RSS_OPS:
+            rss = peak_rss_mb()
+    if len(recs) < RSS_OPS:
+        rss = peak_rss_mb()
+    return recs, perf_counter() - start, lags, rss
 
 
 def run_closed(args):
@@ -246,26 +266,24 @@ def run_closed(args):
 
     workload = args.workload
     setup_req = workloads.setup_request(workload)
-    setup_s, session = cold_setups(PlanSession, setup_req)
+    setup_times, session = cold_setups(PlanSession, setup_req, SETUPS_BEFORE)
     warm_stats(session, setup_req)
 
-    replans = workloads.closed_replans(workload, args.seed)
-    stream = workloads.closed_stream(workload, args.seed)
+    ops = workloads.closed_ops(workload, args.seed)
     if args.requests:
-        stream = itertools.islice(stream, args.requests)
-        recs, wall, _ = closed_pass(session, stream, replans, setup_req)
+        recs, wall, _, rss = closed_pass(session, itertools.islice(ops, args.requests), setup_req)
     else:
-        recs, wall, _ = closed_pass(session, stream, replans, setup_req, args.seconds)
-    rss = peak_rss_mb()
+        recs, wall, _, rss = closed_pass(session, ops, setup_req, window(args))
+    setup_times += cold_setups(PlanSession, setup_req, SETUPS_AFTER)[0]
     plans = [r for r in recs if r.kind == "plan"]
     layer = None
     if args.trace:
+        replay = [("plan", r.request) if r.kind == "plan" else ("replan", r.events) for r in recs]
         tracer = Tracer()
         tracer.install()
         try:
             t_stats0 = dataclasses.replace(session.stats)
-            t_recs, _, t_lags = closed_pass(
-                session, iter([r.request for r in plans]), replans, setup_req)
+            t_recs, _, t_lags, _ = closed_pass(session, iter(replay), setup_req)
         finally:
             tracer.uninstall()
         layer = dict(
@@ -298,11 +316,18 @@ def run_closed(args):
         args,
         recs=recs,
         wall=wall,
-        setup_s=setup_s,
+        setup_s=statistics.median(setup_times),
         rss=rss,
         model_pairs=[(q, o, q.resolve_cluster()) for q, o in prefix if o is not None],
         layer=layer,
     )
+
+
+def window(args) -> float:
+    """Length of the timed phase.  A traced run spends half of ``--seconds``
+    on its untraced pass, then replays the same operations traced, so it
+    takes about as long as an untraced run."""
+    return args.seconds / 2 if args.trace else args.seconds
 
 
 def check(rec, kind, plan_fn, request) -> None:
@@ -337,6 +362,14 @@ class OpenLoop:
         self.service = service
         self.recs: list[Rec | None] = [None] * len(ops)
         self.done = [threading.Event() for _ in ops]
+        self.picked = [threading.Event() for _ in ops]
+        # The first copy of each hot pair waits until the other client has
+        # picked up the second, so the pair always coalesces.
+        self.partner = {
+            a.index: b.index
+            for a, b in zip(ops, ops[1:])
+            if a.tag == b.tag == "hot" and a.due == b.due
+        }
         self.lags: list[float] = []
         self._cond = threading.Condition()
         self._active = 0
@@ -371,6 +404,9 @@ class OpenLoop:
             if item is None:
                 return
             op, due = item
+            self.picked[op.index].set()
+            if op.index in self.partner:
+                self.picked[self.partner[op.index]].wait()
             picked = perf_counter()
             rec = Rec(op.index, op.kind, op.tag, op.request, queue=picked - due)
             if op.kind == "restart":
@@ -429,16 +465,21 @@ def run_serve(args):
     tmp = Path(tempfile.mkdtemp(prefix="serve-", dir=scratch))
     try:
         setup_req = workloads.setup_request("serve_churn")
-        roots = iter(tmp / f"store{i}" for i in range(SETUP_REPEATS + 1))
-        setup_s, service = cold_setups(lambda: PlanService(root=str(next(roots))), setup_req)
+        roots = iter(tmp / f"store{i}" for i in itertools.count())
+
+        def cold_service():
+            return PlanService(root=str(next(roots)))
+
+        setup_times, service = cold_setups(cold_service, setup_req, SETUPS_BEFORE)
         root = service.session.profiles.root
-        ops = workloads.serve_schedule(args.seed, args.seconds)
+        ops = workloads.serve_schedule(args.seed, window(args))
 
         loop = OpenLoop(ops, service, root)
         start = loop.run()
         recs = loop.recs
         wall = max(start + op.due + rec.latency for op, rec in zip(ops, recs)) - start
         rss = peak_rss_mb()
+        setup_times += cold_setups(cold_service, setup_req, SETUPS_AFTER)[0]
 
         layer = None
         if args.trace:
@@ -483,8 +524,8 @@ def run_serve(args):
             for r in recs
             if r.kind != "restart" and r.outcome is not None
         ]
-        return summarize(args, recs=recs, wall=wall, setup_s=setup_s, rss=rss,
-                         model_pairs=model_pairs, layer=layer)
+        return summarize(args, recs=recs, wall=wall, setup_s=statistics.median(setup_times),
+                         rss=rss, model_pairs=model_pairs, layer=layer)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -500,16 +541,14 @@ def summarize(args, *, recs, wall, setup_s, rss, model_pairs, layer):
     failed = [r for r in ops if r.error is not None or r.failed_checks]
     plans = [r.latency for r in ops if r.kind == "plan"]
     replans = [r.latency for r in ops if r.kind == "replan"]
-    # Closed loops time the plans; their replans run after the window.
-    timed = ops if args.workload == "serve_churn" else [r for r in ops if r.kind == "plan"]
-    good = [r for r in timed if r.latency <= limit and r.error is None and not r.failed_checks]
+    good = [r for r in ops if r.latency <= limit and r.error is None and not r.failed_checks]
     tail_value, tail_pct, tail_n = tail(plans)
     sim_iter_ms, lowp = ModelFigures()(model_pairs)
     metrics = {
         "setup_s": setup_s,
         "plan_p50_ms": 1e3 * statistics.median(plans),
         "plan_tail_ms": 1e3 * tail_value,
-        "plans_per_s": len(timed) / wall,
+        "plans_per_s": len(ops) / wall,
         "goodput_per_s": len(good) / wall,
         "replan_p50_ms": 1e3 * statistics.median(replans),
         "peak_rss_mb": rss,
@@ -657,21 +696,14 @@ def layer_metrics(layer) -> dict:
 
 def commit() -> str:
     """HEAD of the checkout when it is a git work tree, else ``unknown``."""
-    git = ROOT / ".git"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if head.startswith("ref: "):
-            ref = head[5:]
-            path = git / ref
-            if path.exists():
-                return path.read_text().strip()
-            for line in (git / "packed-refs").read_text().splitlines():
-                if line.endswith(" " + ref):
-                    return line.split()[0]
-            return "unknown"
-        return head
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)},
+        )
     except OSError:
         return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def source_digest() -> str:
@@ -684,11 +716,15 @@ def source_digest() -> str:
 
 
 def provenance(args) -> dict:
-    import numpy
-
+    try:
+        import numpy
+    except ImportError:
+        numpy_version = "absent"
+    else:
+        numpy_version = numpy.__version__
     return {
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": numpy_version,
         "nproc": os.cpu_count(),
         "seed": args.seed,
         "commit": commit(),
@@ -714,8 +750,9 @@ def parse_args(argv=None):
     )
     args = parser.parse_args(argv)
     cycle = len(workloads.SERVE_CYCLE) / workloads.SERVE_RATE
-    if args.workload == "serve_churn" and args.seconds < cycle:
-        parser.error(f"serve_churn needs --seconds >= {cycle:g}, one full slot cycle")
+    if args.workload == "serve_churn" and window(args) < cycle:
+        parser.error(f"serve_churn needs a timed phase of >= {cycle:g} s, one full slot "
+                     f"cycle (--trace 1 times half of --seconds)")
     return args
 
 

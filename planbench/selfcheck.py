@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--requests", type=int, default=4)
     args = parser.parse_args(argv)
 

@@ -144,28 +144,41 @@ def closed_stream(workload: str, seed: int):
             yield request
 
 
-#: Chained churn replans timed after a closed loop's window.
-CLOSED_REPLANS = 4
+#: Every fourth closed-loop operation is a churn replan, so the replans are
+#: sampled across the whole timed phase rather than in one burst after it.
+REPLAN_EVERY = 4
 
 
-def closed_replans(workload: str, seed: int) -> list[tuple[ClusterEvent, ...]]:
-    """Chained churn: seed-chosen inference ranks leave and rejoin in turn,
-    so every replan plans a cluster of about the same size.  The ranks
-    rotate over the inference device types, so every seed churns the same
-    types."""
+def closed_replans(workload: str, seed: int):
+    """Endless chained churn: seed-chosen inference ranks leave and rejoin
+    in turn, so every replan plans a cluster of about the same size.  The
+    ranks rotate over the inference device types, so every seed churns the
+    same types."""
     cluster = setup_request(workload).resolve_cluster()
     rng = random.Random(f"{seed}:{workload}:replans")
     by_type: dict[str, list] = {}
     for w in cluster.inference_workers:
         by_type.setdefault(w.device.name, []).append(w)
     pools = [rng.sample(ws, len(ws)) for _, ws in sorted(by_type.items())]
-    workers = [pools[i % len(pools)][i // len(pools)] for i in range((CLOSED_REPLANS + 1) // 2)]
-    events = []
-    for w in workers:
-        events.append((ClusterEvent(time=0.0, kind="leave", rank=w.rank),))
-        events.append((ClusterEvent(time=0.0, kind="join", rank=w.rank, device=w.device,
-                                    link_bandwidth=w.link_bandwidth),))
-    return events[:CLOSED_REPLANS]
+    for i in itertools.count():
+        pool = pools[i % len(pools)]
+        w = pool[(i // len(pools)) % len(pool)]
+        yield (ClusterEvent(time=0.0, kind="leave", rank=w.rank),)
+        yield (ClusterEvent(time=0.0, kind="join", rank=w.rank, device=w.device,
+                            link_bandwidth=w.link_bandwidth),)
+
+
+def closed_ops(workload: str, seed: int):
+    """Endless closed-loop operations: ``("plan", request)`` from
+    :func:`closed_stream`, with ``("replan", events)`` from
+    :func:`closed_replans` as every ``REPLAN_EVERY``-th operation."""
+    plans = closed_stream(workload, seed)
+    replans = closed_replans(workload, seed)
+    for i in itertools.count(1):
+        if i % REPLAN_EVERY == 0:
+            yield "replan", next(replans)
+        else:
+            yield "plan", next(plans)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +186,10 @@ def closed_replans(workload: str, seed: int) -> list[tuple[ClusterEvent, ...]]:
 # ---------------------------------------------------------------------------
 
 #: Offered load in schedule slots per second (a hot slot issues two
-#: identical requests at once), about half of what one core serves.
-SERVE_RATE = 1.0
+#: identical requests at once).  The client threads share one interpreter
+#: lock, so this keeps one core about 40% busy: low enough that queueing
+#: does not amplify a slower machine into much longer waits.
+SERVE_RATE = 0.75
 #: The fixed slot mix of one cycle; the seed draws each slot's parameters.
 SERVE_CYCLE = (
     "hot", "whatif", "leave", "perturbed", "recipe", "join",
@@ -219,8 +234,9 @@ def serve_schedule(seed: int, seconds: float) -> list[Op]:
     """Every operation due within ``seconds`` of the timed phase.
 
     Slot kinds, hot requests, what-if models, strategies, collective models,
-    slowdown factors and joined device types follow fixed rotations; the
-    seed draws losses, statistics seeds, recipes and ranks.
+    slowdown factors, joined device types and the class (training or
+    inference) of degraded ranks follow fixed rotations; the seed draws
+    losses, statistics seeds, recipes and ranks.
     """
     rng = random.Random(f"{seed}:serve_churn")
     base = setup_request("serve_churn")
@@ -229,6 +245,7 @@ def serve_schedule(seed: int, seconds: float) -> list[Op]:
     fresh = [b for b in RECIPE_BATCHES if b != HOT_BATCH]
     rng.shuffle(fresh)
     known = [HOT_BATCH]
+    training = {w.rank for w in base.resolve_cluster().training_workers}
     counts = dict.fromkeys(SERVE_CYCLE, 0)
     ops: list[Op] = []
     chain: dict = {}
@@ -288,8 +305,10 @@ def serve_schedule(seed: int, seconds: float) -> list[Op]:
             add("replan", events=(event,), after=chain["last"])
             chain["last"] = ops[-1].index
         elif tag == "degrade":
-            event = ClusterEvent(time=0.0, kind="degrade", rank=rng.choice(chain["ranks"]),
-                                 factor=2.0)
+            # Degrades alternate between training and inference ranks: the
+            # two slow the simulated iteration by very different amounts.
+            pool = [r for r in chain["ranks"] if (r in training) == (nth % 2 == 0)]
+            event = ClusterEvent(time=0.0, kind="degrade", rank=rng.choice(pool), factor=2.0)
             add("replan", events=(event,), after=chain["last"])
         else:
             add("restart")
