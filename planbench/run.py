@@ -51,10 +51,11 @@ perf_counter = time.perf_counter
 #: shared machine from setting them all.
 SETUPS_BEFORE = 3
 SETUPS_AFTER = 2
-#: Closed-loop stream requests behind ``sim_iter_ms`` and ``lowp_op_frac``.
-#: A run that times fewer plans them after the timed phase, so both figures
-#: depend only on the seed, never on speed.
-MODEL_PREFIX = 8
+#: Closed-loop stream requests behind ``sim_iter_ms`` and ``lowp_op_frac``:
+#: the first block, one of each allocator-backed slot.  A run that times
+#: fewer plans them after the timed phase, so both figures depend only on
+#: the seed, never on speed.
+MODEL_PREFIX = 7
 #: Closed loops read the peak RSS after this many operations.  A warm
 #: session's memory grows with every distinct request it plans, so a read
 #: at the end of the timed phase would depend on how many requests the
@@ -75,6 +76,20 @@ LATENCY_LIMIT_S = {"fleet_whatif": 5.0, "deep_whatif": 5.0, "serve_churn": 2.5}
 #: ``simulate()``, so batched recovery ignores perturbations and schedule
 #: policies.  They count as failed operations but leave ``correct`` true.
 KNOWN_DEFECT_CHECKS = ("sequential",)
+#: Iterations of one calibration pass (about 6 ms), and the median time of
+#: one pass on the reference machine (2-core shared x86-64 host, CPython
+#: 3.11) at its usual speed.  See ``HostSpeed``.
+CALIBRATION_ITERS = 4000
+CALIBRATION_REF_S = 0.0065
+#: Calibration passes per host-speed sample.
+CALIBRATION_PASSES = 3
+#: How the planner's speed follows the calibration loop's across host
+#: states, measured on the reference machine: when the loop ran 2.0x faster
+#: (3.2 ms a pass instead of 6.5 ms), fleet plans ran 1.46x faster.  A
+#: tight loop gains more from an idle host than the planner does, so the
+#: scale is the square root of the loop's speed ratio; within the slow
+#: state it steadies run-to-run figures as well as the full ratio does.
+CALIBRATION_EXPONENT = 0.5
 
 E2E_UNITS = {
     "setup_s": "s",
@@ -146,6 +161,66 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+class _Cell:
+    __slots__ = ("key", "cost", "bits")
+
+    def __init__(self, key, cost, bits) -> None:
+        self.key = key
+        self.cost = cost
+        self.bits = bits
+
+
+def calibration_pass() -> float:
+    """Seconds one pass of a fixed pure-Python loop takes: small objects,
+    tuple-keyed dict updates and float arithmetic, as in the planner's own
+    inner loops, but calling no planner code, so no change to ``src`` can
+    move it."""
+    t0 = perf_counter()
+    table: dict = {}
+    cells = []
+    total = 0.0
+    for i in range(CALIBRATION_ITERS):
+        cell = _Cell((i & 63, i % 5), i * 0.5, 8 << (i & 1))
+        cells.append(cell)
+        table[cell.key] = table.get(cell.key, 0.0) + cell.cost * cell.bits
+        total += table[cell.key] / (1 + len(cells) % 7)
+    return perf_counter() - t0
+
+
+class HostSpeed:
+    """The speed of the host while a run measures.
+
+    A shared machine's speed drifts by up to 2x over minutes, and one run
+    sits inside one such spell, so the same code reads very differently
+    from run to run.  The run takes calibration samples between its timed
+    intervals (between operations, never inside one) and reports each
+    duration multiplied by ``scale``: the reference pass time over the
+    median pass time of this run, raised to ``CALIBRATION_EXPONENT``.
+    Durations then read as on the reference machine at its usual speed,
+    while the planner's own speed shows in full, because the calibration
+    loop runs no planner code.  The raw figures go to the ``# run`` line.
+    """
+
+    def __init__(self) -> None:
+        self.passes: list[float] = []
+
+    def sample(self) -> None:
+        self.passes.extend(calibration_pass() for _ in range(CALIBRATION_PASSES))
+
+    @property
+    def scale(self) -> float:
+        ratio = CALIBRATION_REF_S / statistics.median(self.passes)
+        return ratio ** CALIBRATION_EXPONENT
+
+    def info(self) -> dict:
+        return {
+            "calibration_ms_p50": round(1e3 * statistics.median(self.passes), 4),
+            "calibration_ref_ms": 1e3 * CALIBRATION_REF_S,
+            "passes": len(self.passes),
+            "scale": round(self.scale, 4),
+        }
+
+
 # ---------------------------------------------------------------------------
 # model-side figures
 # ---------------------------------------------------------------------------
@@ -186,17 +261,20 @@ class ModelFigures:
 # ---------------------------------------------------------------------------
 
 
-def cold_setups(make, first_request, repeats):
+def cold_setups(make, first_request, repeats, speed):
     """Times from a cold session/service to its first finished plan;
-    returns the first instance too."""
+    returns the first instance too.  Takes host-speed samples before and
+    after each set-up."""
     times = []
     first = None
     for _ in range(repeats):
         gc.collect()
+        speed.sample()
         t0 = perf_counter()
         instance = make()
         instance.plan(first_request)
         times.append(perf_counter() - t0)
+        speed.sample()
         if first is None:
             first = instance
         del instance
@@ -222,14 +300,14 @@ def timed_call(fn, *args):
     return result, error, perf_counter() - t0
 
 
-def closed_pass(session, ops, setup_req, seconds=None):
+def closed_pass(session, ops, setup_req, seconds=None, speed=None):
     """Run ``ops`` (an iterator of ``("plan", request)`` and ``("replan",
     events)``) back to back until ``seconds`` have passed or the iterator
     ends.  Each replan continues the churn chain from the previous replan's
     context, starting at ``setup_req``.  Also returns the generator lag
     (how long each operation took to issue after the client became ready)
     and the peak RSS after ``RSS_OPS`` operations, or at the end if fewer
-    ran."""
+    ran.  With ``speed``, takes a host-speed sample after each operation."""
     recs = []
     lags = []
     ctx = setup_req
@@ -250,8 +328,10 @@ def closed_pass(session, ops, setup_req, seconds=None):
                       latency=latency, error=error)
             if rep is not None:
                 ctx = rep.context
-        ready = perf_counter()
         recs.append(rec)
+        if speed is not None:
+            speed.sample()
+        ready = perf_counter()
         if len(recs) == RSS_OPS:
             rss = peak_rss_mb()
     if len(recs) < RSS_OPS:
@@ -266,15 +346,16 @@ def run_closed(args):
 
     workload = args.workload
     setup_req = workloads.setup_request(workload)
-    setup_times, session = cold_setups(PlanSession, setup_req, SETUPS_BEFORE)
+    speed = HostSpeed()
+    setups, session = cold_setups(PlanSession, setup_req, SETUPS_BEFORE, speed)
     warm_stats(session, setup_req)
 
     ops = workloads.closed_ops(workload, args.seed)
     if args.requests:
-        recs, wall, _, rss = closed_pass(session, itertools.islice(ops, args.requests), setup_req)
-    else:
-        recs, wall, _, rss = closed_pass(session, ops, setup_req, window(args))
-    setup_times += cold_setups(PlanSession, setup_req, SETUPS_AFTER)[0]
+        ops = itertools.islice(ops, args.requests)
+    recs, wall, _, rss = closed_pass(session, ops, setup_req,
+                                     None if args.requests else window(args), speed)
+    setups += cold_setups(PlanSession, setup_req, SETUPS_AFTER, speed)[0]
     plans = [r for r in recs if r.kind == "plan"]
     layer = None
     if args.trace:
@@ -316,7 +397,8 @@ def run_closed(args):
         args,
         recs=recs,
         wall=wall,
-        setup_s=statistics.median(setup_times),
+        setups=setups,
+        speed=speed,
         rss=rss,
         model_pairs=[(q, o, q.resolve_cluster()) for q, o in prefix if o is not None],
         layer=layer,
@@ -352,12 +434,18 @@ class OpenLoop:
     Latency runs from an operation's due time to its completion, so a stall
     also charges the requests queued behind it.  A restart waits until no
     other operation is in flight, then swaps in a new ``PlanService`` on the
-    same store root.
+    same store root.  With ``speed``, the generator takes a host-speed
+    sample in each gap between due times in which no operation is
+    outstanding, so the sample never shares the interpreter with a client.
     """
 
-    def __init__(self, ops, service, root) -> None:
+    #: A gap must leave at least this long after a sample.
+    SAMPLE_MARGIN_S = 0.05
+
+    def __init__(self, ops, service, root, speed=None) -> None:
         self.ops = ops
         self.root = root
+        self.speed = speed
         self.services = [(service, dataclasses.replace(service.stats))]
         self.service = service
         self.recs: list[Rec | None] = [None] * len(ops)
@@ -373,6 +461,7 @@ class OpenLoop:
         self.lags: list[float] = []
         self._cond = threading.Condition()
         self._active = 0
+        self._outstanding = 0
         self._restarting = False
 
     def run(self) -> float:
@@ -384,10 +473,14 @@ class OpenLoop:
         try:
             for op in self.ops:
                 due = start + op.due
+                if self.speed is not None:
+                    self._sample_when_idle(due)
                 delay = due - perf_counter()
                 if delay > 0:
                     time.sleep(delay)
                 self.lags.append(perf_counter() - due)
+                with self._cond:
+                    self._outstanding += 1
                 work.put((op, due))
         finally:
             for _ in threads:
@@ -395,6 +488,18 @@ class OpenLoop:
             for thread in threads:
                 thread.join()
         return start
+
+    def _sample_when_idle(self, due) -> None:
+        """Wait until no operation is outstanding, then take one host-speed
+        sample, unless the next operation is due within the margin."""
+        with self._cond:
+            while self._outstanding:
+                left = due - self.SAMPLE_MARGIN_S - perf_counter()
+                if left <= 0:
+                    return
+                self._cond.wait(left)
+        if due - perf_counter() > self.SAMPLE_MARGIN_S:
+            self.speed.sample()
 
     def _client(self, work) -> None:
         from repro.service.service import PlanService
@@ -447,6 +552,9 @@ class OpenLoop:
             rec.latency = perf_counter() - due
             self.recs[op.index] = rec
             self.done[op.index].set()
+            with self._cond:
+                self._outstanding -= 1
+                self._cond.notify_all()
 
     def store_size(self) -> tuple[int, int]:
         files = [p for p in Path(self.root).rglob("*") if p.is_file()]
@@ -470,16 +578,17 @@ def run_serve(args):
         def cold_service():
             return PlanService(root=str(next(roots)))
 
-        setup_times, service = cold_setups(cold_service, setup_req, SETUPS_BEFORE)
+        speed = HostSpeed()
+        setups, service = cold_setups(cold_service, setup_req, SETUPS_BEFORE, speed)
         root = service.session.profiles.root
         ops = workloads.serve_schedule(args.seed, window(args))
 
-        loop = OpenLoop(ops, service, root)
+        loop = OpenLoop(ops, service, root, speed)
         start = loop.run()
         recs = loop.recs
         wall = max(start + op.due + rec.latency for op, rec in zip(ops, recs)) - start
         rss = peak_rss_mb()
-        setup_times += cold_setups(cold_service, setup_req, SETUPS_AFTER)[0]
+        setups += cold_setups(cold_service, setup_req, SETUPS_AFTER, speed)[0]
 
         layer = None
         if args.trace:
@@ -524,8 +633,8 @@ def run_serve(args):
             for r in recs
             if r.kind != "restart" and r.outcome is not None
         ]
-        return summarize(args, recs=recs, wall=wall, setup_s=statistics.median(setup_times),
-                         rss=rss, model_pairs=model_pairs, layer=layer)
+        return summarize(args, recs=recs, wall=wall, setups=setups, speed=speed, rss=rss,
+                         model_pairs=model_pairs, layer=layer)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -535,7 +644,14 @@ def run_serve(args):
 # ---------------------------------------------------------------------------
 
 
-def summarize(args, *, recs, wall, setup_s, rss, model_pairs, layer):
+#: Scaled to the reference speed on every workload (see ``HostSpeed``).
+SCALED_TIMES = ("setup_s", "plan_p50_ms", "plan_tail_ms", "replan_p50_ms")
+#: Scaled with them on the closed loops only: an open loop's rates follow
+#: its fixed schedule, not the host's speed.
+SCALED_RATES = ("plans_per_s", "goodput_per_s")
+
+
+def summarize(args, *, recs, wall, setups, speed, rss, model_pairs, layer):
     limit = LATENCY_LIMIT_S[args.workload]
     ops = [r for r in recs if r.kind != "restart"]
     failed = [r for r in ops if r.error is not None or r.failed_checks]
@@ -545,7 +661,7 @@ def summarize(args, *, recs, wall, setup_s, rss, model_pairs, layer):
     tail_value, tail_pct, tail_n = tail(plans)
     sim_iter_ms, lowp = ModelFigures()(model_pairs)
     metrics = {
-        "setup_s": setup_s,
+        "setup_s": statistics.median(setups),
         "plan_p50_ms": 1e3 * statistics.median(plans),
         "plan_tail_ms": 1e3 * tail_value,
         "plans_per_s": len(ops) / wall,
@@ -555,6 +671,12 @@ def summarize(args, *, recs, wall, setup_s, rss, model_pairs, layer):
         "sim_iter_ms": sim_iter_ms,
         "lowp_op_frac": lowp,
     }
+    raw = {k: metrics[k] for k in SCALED_TIMES + SCALED_RATES}
+    for k in SCALED_TIMES:
+        metrics[k] *= speed.scale
+    if args.workload != "serve_churn":
+        for k in SCALED_RATES:
+            metrics[k] /= speed.scale
     unexpected = [
         r for r in failed
         if r.error is not None or any(k not in KNOWN_DEFECT_CHECKS for k in r.failed_checks)
@@ -567,6 +689,8 @@ def summarize(args, *, recs, wall, setup_s, rss, model_pairs, layer):
         "error_rate": len(failed) / len(ops),
         "failures": sorted({k for r in failed for k in (r.failed_checks or ["exception"])}),
         "latency_limit_s": limit,
+        "host_speed": speed.info(),
+        "unscaled": raw,
     }
     correct = not unexpected
     if layer is not None:

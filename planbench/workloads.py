@@ -55,9 +55,11 @@ STAT_SEEDS = tuple(range(8))
 LOSSES = ("ce", "mse")
 BUDGETS = (0.005, 0.01, 0.02, 0.05)
 #: One closed-loop block: seven allocator-backed (strategy, collective
-#: model) slots, shuffled per block, then one passive baseline (uniform and
-#: dpro alternate).  Passives sit last in their block so that the median
-#: and, from 12 timed plans on, the tail land on allocator-backed plans.
+#: model) slots, shuffled per block.  Every second block ends in one passive
+#: baseline (uniform and dpro alternate), so the first passive is the 15th
+#: plan: the median always lands on an allocator-backed plan, and so does
+#: the tail (the 11th largest sample), which a passive would otherwise set
+#: whenever a slow run times only 11 plans.
 CLOSED_BLOCK = (
     ("qsync", "flat"),
     ("qsync", "hierarchical"),
@@ -125,7 +127,8 @@ def closed_stream(workload: str, seed: int):
         rng = random.Random(f"{seed}:{workload}:block:{block}")
         slots = list(CLOSED_BLOCK)
         rng.shuffle(slots)
-        slots.append(("uniform" if block % 2 == 0 else "dpro", PASSIVE_COLLECTIVE))
+        if block % 2 == 1:
+            slots.append(("uniform" if block % 4 == 1 else "dpro", PASSIVE_COLLECTIVE))
         for strategy, collective in slots:
             for _ in range(64):
                 knobs = {
@@ -144,9 +147,9 @@ def closed_stream(workload: str, seed: int):
             yield request
 
 
-#: Every fourth closed-loop operation is a churn replan, so the replans are
+#: Every third closed-loop operation is a churn replan, so the replans are
 #: sampled across the whole timed phase rather than in one burst after it.
-REPLAN_EVERY = 4
+REPLAN_EVERY = 3
 
 
 def closed_replans(workload: str, seed: int):
@@ -191,9 +194,15 @@ def closed_ops(workload: str, seed: int):
 #: does not amplify a slower machine into much longer waits.
 SERVE_RATE = 0.75
 #: The fixed slot mix of one cycle; the seed draws each slot's parameters.
+#: A hot pair needs both clients, so each one follows a short slot, and the
+#: long join and degrade replans are each followed by a single request that
+#: the other client can take at once; otherwise every hot pair would queue
+#: behind a replan and its latency would follow that replan's.  Leaves are
+#: half of all replans, so the replan median lands among them rather than
+#: between them and the slower joins of a new type.
 SERVE_CYCLE = (
-    "hot", "whatif", "leave", "perturbed", "recipe", "join",
-    "hot", "whatif", "degrade", "whatif", "blocking", "restart",
+    "hot", "whatif", "leave", "join", "whatif", "perturbed",
+    "hot", "recipe", "degrade", "leave", "blocking", "restart",
 )
 SERVE_STRATEGIES = ("qsync", "qsync+qsgd", "hessian", "uniform", "random")
 #: ``mini_bert`` recipes differ in batch size only, so each one brings new
@@ -233,19 +242,25 @@ class Op:
 def serve_schedule(seed: int, seconds: float) -> list[Op]:
     """Every operation due within ``seconds`` of the timed phase.
 
-    Slot kinds, hot requests, what-if models, strategies, collective models,
-    slowdown factors, joined device types and the class (training or
-    inference) of degraded ranks follow fixed rotations; the seed draws
-    losses, statistics seeds, recipes and ranks.
+    Slot kinds, hot requests, strategies, collective models, slowdown
+    factors and joined device types follow fixed rotations, and every
+    degrade hits an inference rank; the seed draws losses, statistics
+    seeds, recipes and ranks.
+
+    Hot pairs, what-ifs and recipes plan ``mini_bert``; ``resnet50`` carries
+    the perturbed, ``blocking_sync`` and churn work.  The two models' plan
+    latencies form two clusters; with about half of the plan requests in
+    each, the median would sit in the gap between them and flip from seed
+    to seed.
     """
     rng = random.Random(f"{seed}:serve_churn")
     base = setup_request("serve_churn")
     mini = PlanRequest(model="mini_bert", model_kwargs=_recipe(HOT_BATCH), cluster=SERVE_CLUSTER)
-    hot = (base, dataclasses.replace(mini, strategy="qsync+qsgd"))
+    hot = (mini, dataclasses.replace(mini, strategy="qsync+qsgd"))
     fresh = [b for b in RECIPE_BATCHES if b != HOT_BATCH]
     rng.shuffle(fresh)
     known = [HOT_BATCH]
-    training = {w.rank for w in base.resolve_cluster().training_workers}
+    inference = {w.rank for w in base.resolve_cluster().inference_workers}
     counts = dict.fromkeys(SERVE_CYCLE, 0)
     ops: list[Op] = []
     chain: dict = {}
@@ -271,8 +286,7 @@ def serve_schedule(seed: int, seconds: float) -> list[Op]:
             add("plan", hot[nth % 2])
             add("plan", hot[nth % 2])
         elif tag == "whatif":
-            model = base if nth % 2 == 0 else dataclasses.replace(
-                mini, model_kwargs=_recipe(rng.choice(known)))
+            model = dataclasses.replace(mini, model_kwargs=_recipe(rng.choice(known)))
             add("plan", dataclasses.replace(model, **knobs(SERVE_STRATEGIES[nth % 5])))
         elif tag == "perturbed":
             perturbation = Perturbation(
@@ -296,18 +310,20 @@ def serve_schedule(seed: int, seconds: float) -> list[Op]:
             add("replan", base, (ClusterEvent(time=0.0, kind="leave", rank=rank),))
             chain["last"] = ops[-1].index
         elif tag == "join":
-            # The first join of a run brings a new device type.
+            # The first join of a run brings a new device type; later joins
+            # add ranks of a type the cluster already has.
             event = ClusterEvent(time=0.0, kind="join", rank=next_rank,
-                                 device=A10 if nth % 2 == 0 else T4,
+                                 device=A10 if nth == 0 else T4,
                                  link_bandwidth=WAN10G.bandwidth)
             chain["ranks"].append(next_rank)
             next_rank += 1
             add("replan", events=(event,), after=chain["last"])
             chain["last"] = ops[-1].index
         elif tag == "degrade":
-            # Degrades alternate between training and inference ranks: the
-            # two slow the simulated iteration by very different amounts.
-            pool = [r for r in chain["ranks"] if (r in training) == (nth % 2 == 0)]
+            # Only inference ranks degrade.  A degraded training rank slows
+            # the simulated iteration, and the replan, by far more, so a mix
+            # of the two would make both figures depend on the draw.
+            pool = [r for r in chain["ranks"] if r in inference]
             event = ClusterEvent(time=0.0, kind="degrade", rank=rng.choice(pool), factor=2.0)
             add("replan", events=(event,), after=chain["last"])
         else:
