@@ -528,8 +528,8 @@ class ImmutableRule(Rule):
     session shares one cached template across queries, so in-place
     mutation of a node's ``duration`` or anything reached through
     ``.template`` corrupts every consumer that already holds a reference.
-    Assemble a fresh DFG from segments; planners mutate ``replayer.dags``,
-    never ``ctx.template``.
+    Assemble a fresh DFG from segments; planners write the replayer's
+    per-device-type DAGs (``replayer.apply_plan``), never ``ctx.template``.
     """
 
     id = "RPR006"
@@ -553,7 +553,8 @@ class ImmutableRule(Rule):
                         node,
                         self.id,
                         "stores through .template mutate the shared cached "
-                        "template; copy() it and mutate the copy (PR 4)",
+                        "template; plan on the replayer's per-type DAGs "
+                        "(replayer.apply_plan) or on a copy()",
                     )
                 elif (
                     isinstance(target, ast.Attribute)

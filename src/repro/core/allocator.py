@@ -105,8 +105,8 @@ class Allocator:
     Parameters
     ----------
     replayer:
-        Configured with per-rank DAGs/catalogs; training-GPU DAGs are left
-        at FP32 throughout.
+        Holds one DAG per device type; training-GPU DAGs are left at FP32
+        throughout (outside :attr:`AllocatorConfig.amp_mode`).
     indicators:
         Device-type name -> sensitivity indicator (QSync's variance
         indicator, or a baseline implementing the same protocol).
@@ -126,6 +126,14 @@ class Allocator:
         self._device_by_type = {
             w.device.name: w.device for w in replayer.cluster.workers
         }
+        # Device type -> (first rank, smallest available memory among its
+        # ranks): one memory check per type is exactly the per-rank loop,
+        # since same-type ranks share one plan and so one footprint.
+        self._budget_by_type: dict[str, tuple[int, int]] = {}
+        for w in replayer.cluster.workers:
+            mem = w.device.available_memory
+            rank, budget = self._budget_by_type.get(w.device.name, (w.rank, mem))
+            self._budget_by_type[w.device.name] = (rank, min(budget, mem))
         # (device type, op) -> candidate precisions sorted low-to-high by
         # bit width.  Device support tables and kernel sets are static, so
         # this is computed once instead of per recovery trial.
@@ -172,20 +180,20 @@ class Allocator:
         return cands
 
     def _apply_to_type(self, ranks: list[int], plan: dict[str, Precision]) -> None:
-        for rank in ranks:
-            self.replayer.apply_plan(rank, plan)
+        """Install ``plan`` on the device type of ``ranks`` (one write:
+        same-type ranks share the replayer's type DAG)."""
+        self.replayer.apply_plan(ranks[0], plan)
 
     def _set_op(self, ranks: list[int], op: str, prec: Precision) -> None:
-        """Single-op delta applied to every same-type rank — the recovery
-        loop's apply/revert primitive (dirties one op instead of re-writing
-        the whole plan)."""
-        for rank in ranks:
-            self.replayer.dags[rank].set_precision(op, prec)
+        """Single-op delta on the type of ``ranks`` — the recovery loop's
+        apply/revert primitive (dirties one op instead of re-writing the
+        whole plan)."""
+        self.replayer.dags[ranks[0]].set_precision(op, prec)
 
     def _memory_ok(self) -> bool:
-        for w in self.replayer.cluster.workers:
-            est = self.replayer.memory_estimate(w.rank)
-            if est.total > w.device.available_memory:
+        """Every device type's footprint fits its tightest rank."""
+        for rank, budget in self._budget_by_type.values():
+            if self.replayer.memory_estimate(rank).total > budget:
                 return False
         return True
 
@@ -418,8 +426,7 @@ class Allocator:
                 if results is not None:
                     verdicts = [
                         throughput >= threshold
-                        and mem
-                        <= self._device_for_type(entry[2]).available_memory
+                        and mem <= self._budget_by_type[entry[2]][1]
                         for (throughput, mem), (entry, _, _) in zip(
                             results, window
                         )

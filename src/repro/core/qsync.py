@@ -7,7 +7,8 @@
 2. *Profiling* — per device type: operator cost catalogs, casting-cost model
    fits, and indicator statistics (real instrumented runs for mini models,
    synthesized for full-size graphs).
-3. *Pre-replay construction* — per-rank Precision DAGs, indicator values.
+3. *Pre-replay construction* — one Precision DAG per device type,
+   indicator values.
 4. *Replay and optimization* — the Allocator searches precision settings
    against the Replayer.
 5. The optimized :class:`PrecisionPlan` plus a :class:`QSyncReport` come
@@ -61,10 +62,11 @@ def build_replayer(
     profile_repeats: int = 3,
     collective_model=None,
 ) -> tuple[Replayer, dict[int, LPBackend]]:
-    """Construct a Replayer with per-rank DAGs, catalogs, and cast models.
+    """Construct a Replayer with per-device-type DAGs, catalogs, and cast
+    models.
 
-    ``dag_builder()`` must return a fresh PrecisionDAG per call (each rank
-    mutates its own copy); a PrecisionDAG instance is copied per rank.
+    ``dag_builder()`` must return a fresh PrecisionDAG per call; it is built
+    once and copied per device type, as is a PrecisionDAG instance.
     Profiling artifacts are shared across same-type workers (one catalog
     per device type, like the paper's homogeneous-set tracing).  A partial
     ``backends`` dict is filled with default :class:`LPBackend`\\ s for the
@@ -108,7 +110,7 @@ def qsync_plan(
     ----------
     dag_builder:
         Zero-arg callable returning a fresh :class:`PrecisionDAG`, or a
-        PrecisionDAG instance (copied per rank).
+        PrecisionDAG instance (copied per device type).
     cluster:
         Hybrid cluster topology.
     stats:

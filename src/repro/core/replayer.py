@@ -1,7 +1,12 @@
 """The Replayer: throughput estimation ``E(.)`` and memory ``M_i(.)``.
 
-Per device it owns a Precision DAG + Cost Mapper; :meth:`simulate` plays the
-global DFG forward under the synchronous-collective recurrence of Eq. (6):
+QSync plans per device type: every worker of one type runs the same
+precision plan.  The Replayer therefore keeps one Precision DAG and one
+Cost Mapper per device type, plus a rank -> type map; ranks appear only
+where they really differ — the per-rank :class:`LocalDFG` views handed to
+the engine (and its perturbations) and the per-rank dicts of a
+:class:`SimulationResult`.  :meth:`simulate` plays the global DFG forward
+under the synchronous-collective recurrence of Eq. (6):
 
 .. math::
 
@@ -13,11 +18,31 @@ i.e. bucket ``n`` starts when every device has produced its gradients *and*
 the previous collective finished; it lasts as long as the slowest
 participant.  The iteration latency is the max across devices of
 (compute end vs last collective end) plus the optimizer step.
+
+Caches (incremental mode only) — key; invalidation; bound:
+
+* ``_type_dfg_cache`` — type -> LocalDFG; precision signature + structure
+  fingerprint mismatch (entries may be adopted from a pre-churn replayer);
+  one per type.
+* ``_type_memory`` — type -> MemoryEstimate; DAG version move; one per type.
+* ``_mem_sig_cache`` — (fingerprint, signature) -> MemoryEstimate, shared
+  by types and replayers; LRU eviction; :data:`MEMORY_CACHE_BOUND`.
+* ``_kernel_local_cache`` — as ``_type_dfg_cache``, -> CompiledLocal or
+  a cached ``None`` ("won't lower").
+* ``_kernel_global_cache`` — every type's (name, signature, fingerprint)
+  + compression bits -> CompiledGlobal; replaced on mismatch; one entry.
+* ``_comm_price_cache`` — per-type bucket sizes + bits -> bucket
+  durations; cleared when ``collective_model`` is swapped; one per
+  distinct size tuple (compression levels and structures only).
+* ``_kernel_fast`` / ``_kernel_result_cache`` — (cluster, collective
+  model, bits, per-type DAG versions) or the CompiledGlobal's identity
+  (results and per-rank memory); replaced on mismatch; one entry each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
 
 from repro.common.dtypes import Precision
 from repro.core.cost_mapper import CostMapper
@@ -40,6 +65,9 @@ from repro.profiling.casting import CastCostCalculator
 from repro.profiling.memory import MemoryEstimate, MemoryModel
 from repro.profiling.profiler import OperatorCostCatalog
 
+#: Entries kept by a replayer's signature-keyed memory-estimate LRU.
+MEMORY_CACHE_BOUND = 8192
+
 
 @dataclasses.dataclass
 class TimelineEvent:
@@ -58,10 +86,8 @@ class ReplayerStats:
     """Counters for the incremental replay engine (diagnostics/benchmarks)."""
 
     simulate_calls: int = 0
-    #: Per-rank DFG served untouched (DAG version unchanged since last use).
+    #: Device-type DFG served from the type cache (signature unchanged).
     local_cache_hits: int = 0
-    #: Per-rank DFG served as a view of another same-type rank's DFG.
-    local_shared_hits: int = 0
     memory_evals: int = 0
     memory_cache_hits: int = 0
     #: simulate() calls served by the compiled array kernel (PR 8).
@@ -70,8 +96,38 @@ class ReplayerStats:
     whatif_evals: int = 0
 
 
-#: Hot-cache "no entry" marker (None is a real cached verdict there).
-_MISS = object()
+class BoundedLRU(dict):
+    """A dict of its ``bound`` most recently used entries, oldest first
+    (a plain dict, so copies and merges reuse the stored key hashes)."""
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = bound
+
+    def hit(self, key):
+        """The cached value (refreshed as most recent), or ``None``."""
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def put(self, key, value) -> None:
+        """Insert a key that :meth:`hit` just missed."""
+        self[key] = value
+        if len(self) > self.bound:
+            del self[next(iter(self))]
+
+    def adopt(self, older: dict) -> None:
+        """Merge ``older``'s entries in as less recently used than ours."""
+        if older:
+            mine = dict(self)
+            self.clear()
+            self.update(older)
+            for key in mine:
+                self.pop(key, None)
+            self.update(mine)
+        while len(self) > self.bound:
+            del self[next(iter(self))]
 
 
 @dataclasses.dataclass
@@ -93,14 +149,22 @@ class SimulationResult:
 class Replayer:
     """Simulates hybrid mixed-precision distributed training.
 
+    Planning state is per device type (``device.name``), taken from the
+    type's first rank in cluster order.  :attr:`dags` and :attr:`mappers`
+    are read-only rank -> type-state mappings: a write through
+    ``replayer.dags[rank]`` reaches every rank of the type.
+
     Parameters
     ----------
     cluster:
         Worker topology (provides the all-reduce cost model).
     dags:
-        Per-rank Precision DAGs (same structure; independent precisions).
+        Per-rank Precision DAGs; same-type ranks share one object or
+        agree on ``structure_fingerprint()`` and ``precision_signature()``.
     catalogs, cast_calcs:
-        Per-rank profiled cost catalogs and fitted casting models.
+        Per-rank profiled cost catalogs and fitted casting models;
+        same-type ranks map to the same objects (a ``ValueError`` names
+        the rank that breaks either rule).
     optimizer_slots:
         Memory-model optimizer state multiplier.
     collective_model:
@@ -143,7 +207,6 @@ class Replayer:
         self.collective_model = resolve_collective_model(collective_model)
         self.schedule_policy = resolve_schedule_policy(schedule_policy)
         self.perturbation = perturbation
-        self.dags = dags
         #: Per-bucket QSGD compression levels (the joint-planning axis), or
         #: ``None`` for uncompressed.  Set via :meth:`set_bucket_compression`;
         #: all-zero levels normalize to ``None`` so level 0 takes the exact
@@ -155,59 +218,62 @@ class Replayer:
         #: reference mode for equivalence tests and the speed benchmark.
         self.incremental = incremental
         self.stats = ReplayerStats()
-        self.mappers: dict[int, CostMapper] = {}
-        self._workers_by_rank = {w.rank: w for w in cluster.workers}
-        # rank -> (dag version, structure version, LocalDFG)
-        self._dfg_cache: dict[int, tuple[int, int, LocalDFG]] = {}
-        # device type -> (precision signature, structure fingerprint,
-        # LocalDFG) — fingerprints, not per-instance counters, because the
-        # entries are shared across different DAG objects.
+        # rank -> device type, and type -> its first rank (the rank the
+        # type's DFG is built for; other ranks get views of it).
+        self._type_of: dict[int, str] = {}
+        self._first_rank: dict[str, int] = {}
+        self._type_mappers: dict[str, CostMapper] = {}
+        for worker in cluster.workers:
+            rank, tname = worker.rank, worker.device.name
+            self._type_of[rank] = tname
+            first = self._first_rank.setdefault(tname, rank)
+            if first == rank:
+                self._type_mappers[tname] = CostMapper(
+                    dags[rank], catalogs[rank], cast_calcs[rank],
+                    device=worker.device, bucket_cap_bytes=bucket_cap_bytes,
+                )
+                continue
+            mapper = self._type_mappers[tname]
+            dag, ref = dags[rank], mapper.dag
+            if dag is not ref and (
+                dag.structure_fingerprint() != ref.structure_fingerprint()
+                or dag.precision_signature() != ref.precision_signature()
+            ):
+                what = "DAG"
+            elif catalogs[rank] is mapper.catalog and (
+                cast_calcs[rank] is mapper.cast_calc
+            ):
+                continue
+            else:
+                what = "catalog or cast calculator"
+            raise ValueError(
+                f"rank {rank}: its {tname} {what} is not rank {first}'s; "
+                f"same-type ranks share one planning state"
+            )
+        self.dags = types.MappingProxyType(
+            {r: self._type_mappers[t].dag for r, t in self._type_of.items()}
+        )
+        self.mappers = types.MappingProxyType(
+            {r: self._type_mappers[t] for r, t in self._type_of.items()}
+        )
         self._type_dfg_cache: dict[str, tuple[tuple, int, LocalDFG]] = {}
-        # rank -> (dag version, MemoryEstimate)
-        self._mem_cache: dict[int, tuple[int, MemoryEstimate]] = {}
-        # (structure fingerprint, precision signature) -> MemoryEstimate
-        # (structurally identical DAGs with equal signatures have identical
-        # footprints, device-independent)
-        self._mem_sig_cache: dict[tuple, MemoryEstimate] = {}
+        self._type_memory: dict[str, tuple[int, MemoryEstimate]] = {}
+        self._mem_sig_cache = BoundedLRU(MEMORY_CACHE_BOUND)
         self.use_kernel = (
             HAVE_NUMPY if use_kernel is None else bool(use_kernel) and HAVE_NUMPY
         )
-        # device type -> (precision signature, structure fingerprint,
-        # CompiledLocal | None) — keyed exactly like _type_dfg_cache; None
-        # is a cached "not lowerable" verdict so failures don't retry.
         self._kernel_local_cache: dict[str, tuple[tuple, int, object]] = {}
-        # (per-type (name, sig, fingerprint) tuple) -> CompiledGlobal
         self._kernel_global_cache: tuple[tuple, object] | None = None
-        # per-type bucket-size tuples -> priced per-bucket durations; the
-        # pricing itself always goes through bucket_comm_durations so the
-        # kernel and analytic tiers cannot drift.  Both pricing caches are
-        # dropped when collective_model is swapped out (identity-checked in
-        # compiled_global — the analytic path reprices every call).
+        # The pricing itself always goes through bucket_comm_durations so
+        # the kernel and analytic tiers cannot drift.
         self._comm_price_cache: dict[tuple, list[float]] = {}
         self._priced_model: CollectiveModel = self.collective_model
-        # O(ranks) fast-path revalidation for the simulate() hot loop: the
-        # exact (cluster, collective model, per-DAG version snapshot) the
-        # cached CompiledGlobal was last validated against, plus the
-        # evaluated per-rank result dicts (evaluate() is pure, so they are
-        # constant per compilation).  ``_hot_cache`` additionally carries
-        # the assembled memory dict and the CompiledGlobal (or None — a
-        # cached "won't lower" verdict) for one simulate() list-compare.
         self._kernel_fast: tuple | None = None
         self._kernel_result_cache: tuple | None = None
-        self._hot_cache: tuple | None = None
-        for worker in cluster.workers:
-            rank = worker.rank
-            self.mappers[rank] = CostMapper(
-                dags[rank],
-                catalogs[rank],
-                cast_calcs[rank],
-                device=worker.device,
-                bucket_cap_bytes=bucket_cap_bytes,
-            )
 
     # ------------------------------------------------------------------
     def apply_plan(self, rank: int, plan: dict[str, Precision]) -> None:
-        """Install a per-op precision plan on one worker's DAG."""
+        """Install a per-op precision plan on the rank's device type."""
         self.dags[rank].apply_plan(plan)
 
     def set_bucket_compression(
@@ -240,97 +306,68 @@ class Replayer:
 
     def full_rebuilds(self) -> int:
         """Total from-scratch LocalDFG constructions across all mappers."""
-        return sum(m.full_rebuilds for m in self.mappers.values())
+        return sum(m.full_rebuilds for m in self._type_mappers.values())
 
     def incremental_updates(self) -> int:
         """Total delta DFG updates across all mappers."""
-        return sum(m.incremental_updates for m in self.mappers.values())
+        return sum(m.incremental_updates for m in self._type_mappers.values())
 
     def adopt_shared_state(self, other: "Replayer") -> int:
-        """Adopt another replayer's device-type-keyed caches where sound.
+        """Adopt another replayer's device-type DFGs and memory estimates.
 
         The elastic re-planning entry point: after a membership change, the
-        surviving ranks' device types have already built (and signed) their
-        DFGs in the pre-churn replayer — a fresh replayer over the new
-        cluster can serve those straight from ``other``'s per-type cache
-        instead of re-deriving them, making re-plan cost O(changed ranks).
-
-        Adoption is per device type and guarded on shared provenance: the
-        two replayers must map the type with the *same* catalog and cast
-        calculator objects and equal bucket caps, both in incremental mode.
-        A stale adopted entry is harmless — :meth:`local_dfg` only serves
-        it on an exact precision-signature + structure-fingerprint match,
-        and misses fall through to the cost mapper as usual.
+        surviving device types have already built (and signed) their DFGs
+        in the pre-churn replayer, so a fresh replayer over the new cluster
+        serves them from ``other`` instead of re-deriving them.  A type is
+        adopted only when both replayers (incremental) map it to the same
+        catalog and cast calculator objects with equal bucket caps.  A
+        stale entry is harmless: :meth:`local_dfg` serves it only on an
+        exact signature + fingerprint match.
 
         Returns the number of device-type DFG entries adopted.
         """
         if not (self.incremental and other.incremental):
             return 0
-        mine_by_type: dict[str, CostMapper] = {}
-        for mapper in self.mappers.values():
-            mine_by_type.setdefault(mapper.device.name, mapper)
-        theirs_by_type: dict[str, CostMapper] = {}
-        for mapper in other.mappers.values():
-            theirs_by_type.setdefault(mapper.device.name, mapper)
         adopted = 0
         for tname, entry in other._type_dfg_cache.items():
-            mine = mine_by_type.get(tname)
-            theirs = theirs_by_type.get(tname)
-            if mine is None or theirs is None:
-                continue
+            mine = self._type_mappers.get(tname)
+            theirs = other._type_mappers[tname]
             if (
-                mine.catalog is theirs.catalog
+                mine is not None
+                and mine.catalog is theirs.catalog
                 and mine.cast_calc is theirs.cast_calc
                 and mine.bucket_cap_bytes == theirs.bucket_cap_bytes
             ):
                 self._type_dfg_cache[tname] = entry
                 adopted += 1
-        # Memory estimates are keyed on (structure fingerprint, precision
-        # signature) and device-independent, but scale with optimizer slots.
-        if (
-            self.memory_model.optimizer_slots
-            == other.memory_model.optimizer_slots
-        ):
-            merged = dict(other._mem_sig_cache)
-            merged.update(self._mem_sig_cache)
-            if len(merged) <= 8192:
-                self._mem_sig_cache = merged
+        # Memory estimates are device-independent but scale with slots.
+        if self.memory_model.optimizer_slots == other.memory_model.optimizer_slots:
+            self._mem_sig_cache.adopt(other._mem_sig_cache)
         return adopted
 
     # ------------------------------------------------------------------
-    def local_dfg(self, rank: int) -> LocalDFG:
-        """The rank's LocalDFG under its current precisions.
-
-        Incremental mode consults two cache layers before touching the cost
-        mapper: (1) the per-rank cache, valid while the rank's DAG version
-        is unchanged; (2) the per-device-type cache — same-type ranks run
-        identical plans, so a rank whose precision signature matches its
-        type's last-built DFG gets a shared view instead of a rebuild.  Only
-        a genuinely novel assignment reaches the mapper, and there it costs
-        a delta update, not a rebuild.
-        """
-        worker = self._workers_by_rank[rank]
-        if not self.incremental:
-            return self.mappers[rank].build_local_dfg(worker.device.name, rank)
-        dag = self.dags[rank]
-        version, structure = dag.version, dag.structure_version
-        entry = self._dfg_cache.get(rank)
-        if entry is not None and entry[0] == version and entry[1] == structure:
-            self.stats.local_cache_hits += 1
-            return entry[2]
+    def _type_dfg(self, tname: str) -> LocalDFG:
+        """The device type's LocalDFG (built for its first rank) under its
+        current precisions; a miss costs the mapper a delta update."""
+        dag = self._type_mappers[tname].dag
         sig = dag.precision_signature()
         fingerprint = dag.structure_fingerprint()
-        tname = worker.device.name
-        tentry = self._type_dfg_cache.get(tname)
-        if tentry is not None and tentry[0] == sig and tentry[1] == fingerprint:
-            self.stats.local_shared_hits += 1
-            shared = tentry[2]
-            dfg = shared if shared.rank == rank else shared.view_for_rank(rank)
-        else:
-            dfg = self.mappers[rank].current_dfg(tname, rank)
-            self._type_dfg_cache[tname] = (sig, fingerprint, dfg)
-        self._dfg_cache[rank] = (version, structure, dfg)
+        entry = self._type_dfg_cache.get(tname)
+        if entry is not None and entry[0] == sig and entry[1] == fingerprint:
+            self.stats.local_cache_hits += 1
+            return entry[2]
+        dfg = self._type_mappers[tname].current_dfg(tname, self._first_rank[tname])
+        self._type_dfg_cache[tname] = (sig, fingerprint, dfg)
         return dfg
+
+    def local_dfg(self, rank: int) -> LocalDFG:
+        """The rank's LocalDFG under its type's current precisions: the
+        type DFG itself, or a view of it that shares every node list."""
+        tname = self._type_of[rank]
+        if not self.incremental:
+            return self._type_mappers[tname].build_local_dfg(tname, rank)
+        dfg = self._type_dfg(tname)
+        return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
 
     def build_global_dfg(self) -> GlobalDFG:
         return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])
@@ -338,53 +375,40 @@ class Replayer:
     # ------------------------------------------------------------------
     # compiled array kernel tier (repro.kernel; PR 8)
     # ------------------------------------------------------------------
-    def _compiled_local(self, rank: int):
-        """The rank's type-shared :class:`repro.kernel.CompiledLocal`.
-
-        Keyed exactly like ``_type_dfg_cache`` — precision signature +
-        structure fingerprint per device type — including a cached ``None``
-        verdict for DFGs that refuse to lower, so failures don't retry on
-        every call.
-        """
-        worker = self._workers_by_rank[rank]
-        tname = worker.device.name
-        dag = self.dags[rank]
+    def _compiled_local(self, tname: str):
+        """The type's :class:`repro.kernel.CompiledLocal`, keyed like
+        ``_type_dfg_cache``; a ``None`` "won't lower" verdict is cached
+        too, so failures don't retry on every call."""
+        dag = self._type_mappers[tname].dag
         sig = dag.precision_signature()
         fingerprint = dag.structure_fingerprint()
         entry = self._kernel_local_cache.get(tname)
         if entry is not None and entry[0] == sig and entry[1] == fingerprint:
             return entry[2]
-        dfg = self.local_dfg(rank)
-        compiled = compile_local(dfg, self.mappers[rank].kernel_layout())
+        dfg = self._type_dfg(tname)
+        compiled = compile_local(dfg, self._type_mappers[tname].kernel_layout())
         self._kernel_local_cache[tname] = (sig, fingerprint, compiled)
         return compiled
 
     def _dag_versions(self) -> list:
-        """Identity + mutation-counter snapshot of every rank's DAG — the
-        O(ranks) revalidation key for the kernel fast path (version counters
-        are monotone, so a mutate-and-revert cycle never replays a key).
-        Reads the counters' backing fields directly: this runs on every
-        simulate() and the property indirection is measurable there."""
-        out: list = []
-        append = out.append
-        for dag in self.dags.values():
-            append(dag)
-            append(dag._version)
-            append(dag._structure_version)
-        return out
+        """Mutation counters of every type's DAG — the kernel fast path's
+        revalidation key (monotone: mutate-and-revert never replays one)."""
+        return [
+            (m.dag.version, m.dag.structure_version)
+            for m in self._type_mappers.values()
+        ]
 
-    def compiled_global(self, _versions: list | None = None):
+    def compiled_global(self):
         """The compiled representation of the current global DFG, or None.
 
         ``None`` whenever the kernel tier cannot serve bit-identically:
-        numpy missing or the tier disabled, non-incremental mode, a local
-        that refuses to lower, or same-type ranks whose DFGs have diverged
-        (the per-type compilation assumes shared plans, like the type DFG
-        cache).  Callers fall back to the object path.
+        numpy missing or the tier disabled, non-incremental mode, or a
+        type DFG that refuses to lower.  Callers fall back to the object
+        path.
         """
         if not (self.use_kernel and self.incremental):
             return None
-        versions = self._dag_versions() if _versions is None else _versions
+        versions = self._dag_versions()
         bits = self._bucket_bits()
         fast = self._kernel_fast
         if (
@@ -401,29 +425,10 @@ class Replayer:
             self._comm_price_cache.clear()
             self._kernel_global_cache = None
             self._priced_model = self.collective_model
-        reps: dict[str, int] = {}
-        order: list[str] = []
-        shared: dict[str, LocalDFG] = {}
-        locals_: list[LocalDFG] = []
-        for w in self.cluster.workers:
-            dfg = self.local_dfg(w.rank)
-            locals_.append(dfg)
-            tname = w.device.name
-            ref = shared.get(tname)
-            if ref is None:
-                reps[tname] = w.rank
-                order.append(tname)
-                shared[tname] = dfg
-            elif ref is not dfg and (
-                ref.forward is not dfg.forward
-                or ref.backward is not dfg.backward
-                or ref.buckets is not dfg.buckets
-            ):
-                return None  # same-type ranks diverged: object path
         by_type: dict[str, object] = {}
         key_parts = []
-        for tname in order:
-            cl = self._compiled_local(reps[tname])
+        for tname in self._type_mappers:
+            cl = self._compiled_local(tname)
             if cl is None:
                 return None
             by_type[tname] = cl
@@ -440,17 +445,18 @@ class Replayer:
                 self.cluster, self.collective_model, bits, versions, cached[1]
             )
             return cached[1]
-        size_key = (
-            tuple(by_type[tname].bucket_nbytes for tname in order), bits
-        )
+        size_key = (tuple(cl.bucket_nbytes for cl in by_type.values()), bits)
         durs = self._comm_price_cache.get(size_key)
         if durs is None:
+            # Same-type ranks hold the same buckets: one DFG per type
+            # prices exactly what every rank's would.
             durs = bucket_comm_durations(
-                locals_, self.cluster, self.collective_model, bits
+                [self._type_dfg(tname) for tname in by_type],
+                self.cluster, self.collective_model, bits,
             )
             self._comm_price_cache[size_key] = durs
         cg = compile_global(
-            [(w.rank, by_type[w.device.name]) for w in self.cluster.workers],
+            [(w.rank, by_type[self._type_of[w.rank]]) for w in self.cluster.workers],
             durs,
         )
         if cg is None:
@@ -461,11 +467,11 @@ class Replayer:
         )
         return cg
 
-    def _kernel_result(self, cg, memory) -> SimulationResult:
+    def _kernel_result(self, cg) -> SimulationResult:
         """One Eq. (6) evaluation on the compiled arrays."""
         cached = self._kernel_result_cache
         if cached is not None and cached[0] is cg:
-            _, iteration, per_device_compute, comm_wait = cached
+            _, iteration, per_device_compute, comm_wait, memory = cached
         else:
             iteration, comm_end = kernel_evaluate(cg)
             per_device_compute = {}
@@ -477,8 +483,11 @@ class Replayer:
                 # construction.
                 per_device_compute[w.rank] = cl.compute_end + cl.opt
                 comm_wait[w.rank] = max(0.0, comm_end - cl.compute_end)
+            # A compilation fixes every type's signature, and with it
+            # every footprint.
+            memory = self._memory_by_rank()
             self._kernel_result_cache = (
-                cg, iteration, per_device_compute, comm_wait
+                cg, iteration, per_device_compute, comm_wait, memory
             )
         # The per-rank dicts are shared across results of one compilation
         # (results are read-only by the same convention as published DFGs);
@@ -487,7 +496,7 @@ class Replayer:
             iteration_time=iteration,
             per_device_compute=per_device_compute,
             comm_wait_time=comm_wait,
-            memory=memory or {},
+            memory=memory,
             timeline=[],
         )
 
@@ -560,27 +569,6 @@ class Replayer:
         the discrete-event engine — bit-identical on the default policy.
         """
         self.stats.simulate_calls += 1
-        versions = None
-        memory = None
-        bits = self._bucket_bits()
-        hot_cg = _MISS
-        if self.use_kernel and self.incremental:
-            versions = self._dag_versions()
-            hot = self._hot_cache
-            if (
-                hot is not None
-                and hot[0] is self.cluster
-                and hot[1] is self.collective_model
-                and hot[2] == bits
-                and hot[3] == versions
-            ):
-                memory = hot[4]
-                hot_cg = hot[5]
-        if memory is None:
-            memory = {
-                w.rank: self.memory_estimate(w.rank)
-                for w in self.cluster.workers
-            }
         policy = (
             self.schedule_policy
             if schedule_policy is None
@@ -596,45 +584,44 @@ class Replayer:
             and (pert is None or pert.is_noop)
             and type(policy) is DDPOverlapPolicy
         ):
-            cg = hot_cg
-            if cg is _MISS:
-                cg = self.compiled_global(versions)
-                if versions is not None:
-                    self._hot_cache = (
-                        self.cluster, self.collective_model, bits,
-                        versions, memory, cg,
-                    )
+            cg = self.compiled_global()
             if cg is not None:
                 self.stats.kernel_sims += 1
-                return self._kernel_result(cg, memory)
+                return self._kernel_result(cg)
         gdfg = self.build_global_dfg()
         # One dispatcher owns the analytic-vs-engine choice.
         from repro.engine.core import execute_global_dfg
 
         return execute_global_dfg(
             gdfg, self.cluster, collect_timeline=collect_timeline,
-            memory=memory, collective_model=self.collective_model,
+            memory=self._memory_by_rank(), collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
-            bucket_bits=bits,
+            bucket_bits=self._bucket_bits(),
         )
 
+    def _memory_by_rank(self) -> dict[int, MemoryEstimate]:
+        by_type = {t: self.memory_estimate(r) for t, r in self._first_rank.items()}
+        return {w.rank: by_type[self._type_of[w.rank]] for w in self.cluster.workers}
+
     def memory_estimate(self, rank: int) -> MemoryEstimate:
-        dag = self.dags[rank]
+        """``M_i``: the footprint of the rank's device type's plan."""
+        tname = self._type_of[rank]
+        dag = self._type_mappers[tname].dag
         if not self.incremental:
             return self.memory_model.estimate(dag)
         version = dag.version
-        entry = self._mem_cache.get(rank)
+        entry = self._type_memory.get(tname)
         if entry is not None and entry[0] == version:
             self.stats.memory_cache_hits += 1
             return entry[1]
         sig_key = (dag.structure_fingerprint(), dag.precision_signature())
-        est = self._mem_sig_cache.get(sig_key)
+        est = self._mem_sig_cache.hit(sig_key)
         if est is None:
             # Precision-dependent terms come from the mapper's incrementally
             # maintained per-op contributions (O(affected), not O(graph));
             # the structural terms are precision-independent.
             self.stats.memory_evals += 1
-            wcopies, acts, workspace = self.mappers[rank].memory_components()
+            wcopies, acts, workspace = self._type_mappers[tname].memory_components()
             weights = dag.total_weight_elems() * Precision.FP32.nbytes
             est = MemoryEstimate(
                 weights=weights,
@@ -644,12 +631,10 @@ class Replayer:
                 activations=acts,
                 workspace=workspace,
             )
-            if len(self._mem_sig_cache) > 8192:
-                self._mem_sig_cache.clear()  # bound growth over long searches
-            self._mem_sig_cache[sig_key] = est
+            self._mem_sig_cache.put(sig_key, est)
         else:
             self.stats.memory_cache_hits += 1
-        self._mem_cache[rank] = (version, est)
+        self._type_memory[tname] = (version, est)
         return est
 
 

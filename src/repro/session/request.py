@@ -54,7 +54,7 @@ class PlanRequest:
     model:
         Graph-catalog name (``"vgg16"``), mini-model name (``"mini_bert"``),
         zero-arg callable returning a fresh :class:`PrecisionDAG`, or a
-        built DAG (copied per rank; never mutated).
+        built DAG (copied per device type; never mutated).
     model_kwargs:
         Builder kwargs when ``model`` is a name (``batch_size``,
         ``width_scale``, ...).  Ignored for callables and DAG instances.

@@ -22,7 +22,7 @@ experiment harnesses and the ground-truth comparisons.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from repro.backend.lp_backend import LPBackend
 from repro.core.indicator import gamma_for_loss
@@ -42,7 +42,7 @@ from repro.session.request import PlanRequest
 class PlanContext:
     """Everything a planner strategy needs, fully resolved.
 
-    Built fresh per query (per-rank DAGs are mutable search state), but
+    Built fresh per query (the per-type DAGs are mutable search state), but
     the expensive members — catalogs, cast models, stats — come from the
     session's :class:`ProfileStore` when the fingerprints match.
     """
@@ -122,35 +122,37 @@ class PlanSession:
     def prepare(self, request: PlanRequest) -> PlanContext:
         """Resolve a request into a ready-to-plan context.
 
-        Fresh per-rank DAGs and a fresh :class:`Replayer` every time (the
-        allocator mutates them); per-device-type catalogs and cast models
-        from the store whenever their fingerprints have been seen.
+        A fresh DAG per device type and a fresh :class:`Replayer` every
+        time (the allocator mutates them); per-device-type catalogs and
+        cast models from the store whenever their fingerprints have been
+        seen.
         """
         self.profiles.stats.prepare_calls += 1
         cluster = request.resolve_cluster()
         template = self.profiles.template_for(
             request.model_cache_key(), request.build_template
         )
-        builder: Callable[[], PrecisionDAG] = template.copy
         backends = resolve_backends(
             cluster, request.backends, seed=self.profile_seed
         )
 
-        dags = {w.rank: builder() for w in cluster.workers}
-        by_type_catalog: dict[str, object] = {}
-        by_type_cast: dict[str, object] = {}
-        catalogs = {}
-        cast_calcs = {}
+        # One DAG, catalog and cast model per device type; ranks map onto
+        # them (the Replayer's planning state is per type).
+        by_type: dict[str, tuple] = {}
+        dags, catalogs, cast_calcs = {}, {}, {}
         for w in cluster.workers:
             tname = w.device.name
-            if tname not in by_type_catalog:
+            if tname not in by_type:
                 backend = backends[w.rank]
-                by_type_catalog[tname] = self.profiles.catalog_for(
-                    dags[w.rank], w.device, backend, request.profile_repeats
+                dag = template.copy()
+                by_type[tname] = (
+                    dag,
+                    self.profiles.catalog_for(
+                        dag, w.device, backend, request.profile_repeats
+                    ),
+                    self.profiles.cast_calc_for(backend),
                 )
-                by_type_cast[tname] = self.profiles.cast_calc_for(backend)
-            catalogs[w.rank] = by_type_catalog[tname]
-            cast_calcs[w.rank] = by_type_cast[tname]
+            dags[w.rank], catalogs[w.rank], cast_calcs[w.rank] = by_type[tname]
 
         replayer = Replayer(
             cluster,

@@ -34,6 +34,16 @@ def test_bench_smoke(tmp_path):
     assert inc["recovery_incremental_updates"] > 0
     assert full["recovery_full_rebuilds"] > 0
     assert inc["full_rebuilds"] < full["full_rebuilds"]
+    # Planning state is per device type: same-type ranks share one DAG
+    # object and one set of DFG node lists.
+    assert inc["dfg_shared_per_type"] is True
+
+    # The rank-scaling curve is reported (no timing gate) with one
+    # deterministic iteration time per cell.
+    scaling = payload["rank_scaling"]
+    for cell in scaling["cells"].values():
+        assert len(cell["samples_s"]) == scaling["repeats"] >= 5
+        assert len(cell["iteration_time"]) == 1
 
     # Wall-clock is too noisy at smoke scale to gate on (the counters above
     # pin the fast path deterministically); just require it was measured.

@@ -444,11 +444,17 @@ class TestNonContiguousRanks:
         builder = lambda: mini_model_graph("mini_bert", batch_size=2)
         dags = {w.rank: builder() for w in cluster.workers}
         backends = {w.rank: LPBackend(w.device, seed=0) for w in cluster.workers}
-        catalogs = {
-            w.rank: profile_operator_costs(dags[w.rank], backends[w.rank], repeats=1)
-            for w in cluster.workers
-        }
-        casts = {w.rank: CastCostCalculator(backends[w.rank]) for w in cluster.workers}
+        # Profiling artifacts are per device type (the Replayer requires
+        # same-type ranks to share them).
+        by_type = {}
+        for w in cluster.workers:
+            if w.device.name not in by_type:
+                by_type[w.device.name] = (
+                    profile_operator_costs(dags[w.rank], backends[w.rank], repeats=1),
+                    CastCostCalculator(backends[w.rank]),
+                )
+        catalogs = {w.rank: by_type[w.device.name][0] for w in cluster.workers}
+        casts = {w.rank: by_type[w.device.name][1] for w in cluster.workers}
         return cluster, dags, backends, catalogs, casts
 
     def test_ground_truth_uses_rank_identity_not_position(self):

@@ -170,6 +170,15 @@ def test_fixture_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+def test_batched_recovery_matches_sequential(golden):
+    """Batched recovery must reach the sequential loop's outcome, also
+    when the type's loaned ranks come before its full ones."""
+    pairs = [c for c in CASES if c.endswith("/batched")]
+    assert pairs
+    for case in pairs:
+        assert golden[case] == golden[case.replace("/batched", "/sequential")]
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_plan(case, golden, session):
     assert record(session.plan(CASES[case])) == golden[case]

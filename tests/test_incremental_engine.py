@@ -184,7 +184,7 @@ def test_structure_fingerprint_distinguishes_graphs():
 
 
 def test_replayer_type_cache_shares_across_ranks():
-    """Same-type ranks under identical plans must share one built DFG."""
+    """Same-type ranks hold one DAG object and share one built DFG."""
     cluster = make_cluster_a(2, 2)
     replayer, _ = build_replayer(
         lambda: mini_model_graph("mini_bert", batch_size=4, width_scale=8,
@@ -197,12 +197,16 @@ def test_replayer_type_cache_shares_across_ranks():
         for op in replayer.dags[t4_ranks[0]].adjustable_ops()
         if Precision.FP16 in replayer.dags[t4_ranks[0]].spec(op).supported_precisions()
     }
-    for rank in t4_ranks:
-        replayer.apply_plan(rank, plan)
+    replayer.apply_plan(t4_ranks[0], plan)
     replayer.simulate()
-    assert replayer.stats.local_shared_hits >= 1
+    assert replayer.dags[t4_ranks[0]] is replayer.dags[t4_ranks[1]]
+    assert all(
+        replayer.dags[t4_ranks[1]].precision(op) is prec
+        for op, prec in plan.items()
+    )
     a, b = (replayer.local_dfg(r) for r in t4_ranks)
     assert a.forward is b.forward  # shared view, not a copy
+    assert a.buckets is b.buckets
     assert a.rank != b.rank
     # Unchanged DAGs must not trigger any rebuild on re-simulate.
     builds = replayer.full_rebuilds() + replayer.incremental_updates()
