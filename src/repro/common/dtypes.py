@@ -25,18 +25,25 @@ class Precision(enum.Enum):
     FP16 = "fp16"
     FP32 = "fp32"
 
+    #: Total storage bits of the format.
+    bits: int
+    #: Storage bytes per element.
+    nbytes: int
+
+    def __init__(self, value: str) -> None:
+        # Per-member constants: the planner reads these in its innermost
+        # loops, where a property building a dict per call showed up.
+        self.bits = {"int8": 8, "fp16": 16, "fp32": 32}[value]
+        self.nbytes = self.bits // 8
+
+    #: Identity hashing: members are singletons, and ``Enum.__hash__``
+    #: (``hash(name)``) costs a string hash on every dict probe.  Neither
+    #: hash is stable across processes, so nothing may depend on it.
+    __hash__ = object.__hash__
+
     # ------------------------------------------------------------------
     # format properties
     # ------------------------------------------------------------------
-    @property
-    def bits(self) -> int:
-        """Total storage bits of the format."""
-        return {Precision.INT8: 8, Precision.FP16: 16, Precision.FP32: 32}[self]
-
-    @property
-    def nbytes(self) -> int:
-        """Storage bytes per element."""
-        return self.bits // 8
 
     @property
     def is_floating_point(self) -> bool:

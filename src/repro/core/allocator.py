@@ -190,12 +190,24 @@ class Allocator:
         whole plan)."""
         self.replayer.dags[ranks[0]].set_precision(op, prec)
 
-    def _memory_ok(self) -> bool:
-        """Every device type's footprint fits its tightest rank."""
-        for rank, budget in self._budget_by_type.values():
-            if self.replayer.memory_estimate(rank).total > budget:
-                return False
-        return True
+    def _memory_ok(self, name: str) -> bool:
+        """Device type ``name``'s footprint fits its tightest rank.  A
+        write to one type leaves every other type's footprint as it was,
+        so checking the written type alone is the whole-cluster check once
+        the others are known to fit."""
+        rank, budget = self._budget_by_type[name]
+        return self.replayer.memory_estimate(rank).total <= budget
+
+    def _check_every_type_fits(self) -> None:
+        """Raise, naming the type, unless every type's current footprint
+        fits its tightest rank (e.g. a training type at FP32 cannot)."""
+        for name, (rank, budget) in self._budget_by_type.items():
+            total = self.replayer.memory_estimate(rank).total
+            if total > budget:
+                raise InfeasiblePlanError(
+                    f"{name} needs {total} bytes at its current precisions, "
+                    f"over its {budget}-byte budget"
+                )
 
     # ------------------------------------------------------------------
     # step 1: uniform lowest-feasible plan -> T_min
@@ -226,7 +238,7 @@ class Allocator:
                     else max(cands, key=lambda p: p.bits)
                 )
             self._apply_to_type(ranks, plan)
-            if self._memory_ok():
+            if self._memory_ok(device.name):
                 return plan
         raise InfeasiblePlanError(
             f"even uniform {ladder[0].value} exceeds memory on {device.name}"
@@ -244,7 +256,7 @@ class Allocator:
             for op in dag.adjustable_ops()
         }
         self._apply_to_type(ranks, plan)
-        if not self._memory_ok():
+        if not self._memory_ok(device.name):
             raise InfeasiblePlanError(f"lowest precisions exceed {device.name} memory")
 
         blocks = group_blocks(dag)
@@ -311,12 +323,11 @@ class Allocator:
                         if prec in self._candidates_for(dag, op, device):
                             trial[op] = prec
                 self._apply_to_type(ranks, trial)
-                if not self._memory_ok():
+                if not self._memory_ok(device.name):
                     continue
-                # Local execution latency (no comm): the device's own DFG,
-                # delta-updated through the Replayer's cache layers.
-                dfg = self.replayer.local_dfg(ranks[0])
-                t = dfg.compute_time
+                # Local execution latency (no comm), summed from the type
+                # mapper's retained segments without assembling a DFG.
+                t = self.replayer.compute_time(ranks[0])
                 if best is None or t < best[0]:
                     best = (t, trial)
             if best is not None:
@@ -328,7 +339,14 @@ class Allocator:
     # step 3: precision recovery
     # ------------------------------------------------------------------
     def allocate(self) -> tuple[PrecisionPlan, AllocationReport]:
-        """Run the full allocation; returns the plan and diagnostics."""
+        """Run the full allocation; returns the plan and diagnostics.
+
+        The type mappers memoize segments for the run's trials and drop
+        the memo on return."""
+        with self.replayer.segment_memos():
+            return self._allocate()
+
+    def _allocate(self) -> tuple[PrecisionPlan, AllocationReport]:
         type_ranks = self._inference_ranks_by_type()
         if not type_ranks:
             # Pure training cluster: everything FP32, nothing to do.
@@ -347,10 +365,14 @@ class Allocator:
         plans: dict[str, dict[str, Precision]] = {}
 
         # T_min: uniform lowest-feasible on every inference type at once.
+        # Each type is checked on its own, so a type not yet written (still
+        # at its prepared precisions) cannot fail another; the full check
+        # then covers the types no step writes.
         for name, ranks in type_ranks.items():
             dag = self.replayer.dags[ranks[0]]
             device = self._device_for_type(name)
             plans[name] = self._uniform_lowest_plan(dag, ranks, device)
+        self._check_every_type_fits()
         t_min = self.replayer.simulate().throughput
 
         # Fastest-feasible initialization.
@@ -445,7 +467,7 @@ class Allocator:
                     # the replay engine.
                     self._set_op(ranks, op, target)
                     sim = self.replayer.simulate()
-                    ok = self._memory_ok() and sim.throughput >= threshold
+                    ok = self._memory_ok(name) and sim.throughput >= threshold
                     if not ok:
                         # Revert the single op.
                         self._set_op(ranks, op, current)

@@ -28,7 +28,9 @@ for the changed ops and their graph neighbours (casts look one hop in each
 direction), and reassembles the execution line from cached segments.  The
 expensive work (cast-model predictions, catalog lookups, node construction)
 is O(affected); bucket membership and the optimizer pass depend only on the
-graph structure and are computed once.  Equivalence with a from-scratch
+graph structure and are computed once.  While an allocation runs, a
+segment memo keyed on one-hop effective precisions turns re-derivations
+into lookups (see :class:`CostMapper`).  Equivalence with a from-scratch
 :meth:`build_local_dfg` is pinned node-for-node by the test suite.
 """
 
@@ -148,20 +150,36 @@ def optimizer_pass_seconds(total_weight_elems: int, device) -> float:
     )
 
 
+class _Segment:
+    """The nodes one op contributes to each stream, with their duration
+    sums (so assembly is O(ops) float adds) and the offset of the
+    BACKWARD-kind node within the backward nodes — ``None`` when its
+    backward cost rounded to zero.  Shared, never mutated."""
+
+    __slots__ = ("fwd", "bwd", "fwd_dur", "bwd_dur", "bwd_pos")
+
+    def __init__(self, fwd: list[DFGNode], bwd: list[DFGNode]) -> None:
+        self.fwd = fwd
+        self.bwd = bwd
+        self.fwd_dur = sum(node.duration for node in fwd)
+        self.bwd_dur = sum(node.duration for node in bwd)
+        pos = None
+        for i, node in enumerate(bwd):
+            if node.kind is NodeKind.BACKWARD:
+                pos = i
+        self.bwd_pos = pos
+
+
 class _MapperState:
     """Retained derivation of the DAG at one version: effective precisions,
-    per-op forward/backward segments, per-op memory contributions, and the
-    last assembled DFG."""
+    per-op segments, per-op memory contributions, and the last assembled
+    DFG."""
 
     __slots__ = (
         "version",
         "structure",
         "effective",
-        "fwd_segs",
-        "bwd_segs",
-        "fwd_durs",
-        "bwd_durs",
-        "bwd_pos",
+        "segs",
         "mem_wcopy",
         "mem_act",
         "mem_wcopy_total",
@@ -181,36 +199,13 @@ class _MapperState:
         self.version = version
         self.structure = structure
         self.effective = effective
-        self.fwd_segs: dict[str, list[DFGNode]] = {}
-        self.bwd_segs: dict[str, list[DFGNode]] = {}
-        #: Per-segment duration sums, so assembly is O(ops) float adds.
-        self.fwd_durs: dict[str, float] = {}
-        self.bwd_durs: dict[str, float] = {}
-        #: Offset of the BACKWARD-kind node within the op's backward
-        #: segment, or None when its backward cost rounded to zero.
-        self.bwd_pos: dict[str, int | None] = {}
+        self.segs: dict[str, _Segment] = {}
         self.mem_wcopy = mem_wcopy
         self.mem_act = mem_act
         self.mem_wcopy_total = sum(mem_wcopy.values())
         self.mem_act_total = sum(mem_act.values())
         self.dfg: LocalDFG | None = None
         self.dfg_key: tuple[str, int] | None = None
-
-    def set_segments(
-        self,
-        name: str,
-        fwd: list[DFGNode],
-        bwd: list[DFGNode],
-    ) -> None:
-        self.fwd_segs[name] = fwd
-        self.bwd_segs[name] = bwd
-        self.fwd_durs[name] = sum(node.duration for node in fwd)
-        self.bwd_durs[name] = sum(node.duration for node in bwd)
-        pos = None
-        for i, node in enumerate(bwd):
-            if node.kind is NodeKind.BACKWARD:
-                pos = i
-        self.bwd_pos[name] = pos
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,7 +217,7 @@ class WhatIfChange:
     affected neighbourhood the sequential path would re-derive (changed
     cone + one-hop neighbours + the op itself); every float is computed by
     the same segment functions and Python ``sum`` order as
-    :meth:`_MapperState.set_segments`, so splicing them into a compiled
+    :class:`_Segment`, so splicing them into a compiled
     base (:func:`repro.kernel.candidate_row`) is bit-identical to apply +
     rebuild + revert.  The memory totals mirror
     :meth:`CostMapper.memory_components` after the change.
@@ -256,6 +251,17 @@ class CostMapper:
         Fitted casting-cost models ``CP``.
     optimizer_flops_per_elem:
         Optimizer-step work per parameter element (SGD+momentum ~ 4).
+
+    Segment memo: an op's segment is a pure function of its own effective
+    precision and those of its one-hop neighbours (casts read one hop each
+    way), so while a memo is held (:meth:`hold_segment_memo`, for one
+    ``Allocator.allocate()``) :meth:`refresh` and :meth:`whatif_change`
+    look segments up by ``(op, effective[op], *effective[preds],
+    *effective[succs])`` instead of re-deriving them — an allocation's
+    trials revisit the same few neighbourhoods many times.  A change of
+    ``structure_version`` empties it; :meth:`release_segment_memo` drops
+    it.  :meth:`build_local_dfg` never reads it, so the full-rebuild oracle
+    still derives every segment from scratch.
     """
 
     def __init__(
@@ -275,6 +281,9 @@ class CostMapper:
         self._buckets_cache: tuple[int, list[CommBucket]] | None = None
         self._opt_time_cache: tuple[int, float] | None = None
         self._weighted_cache: tuple[int, frozenset] | None = None
+        self._adjacency_cache: tuple[int, dict] | None = None
+        self._memo: dict[tuple, _Segment] | None = None
+        self._memo_structure = -1
         #: Diagnostics: how often the full vs. delta path ran (the allocator
         #: benchmark asserts zero full rebuilds inside the recovery loop).
         self.full_rebuilds = 0
@@ -291,28 +300,79 @@ class CostMapper:
     # per-op segment derivation (shared by the full and delta paths, and
     # with the engine's CatalogCostSource — one pricing implementation)
     # ------------------------------------------------------------------
-    def _forward_segment(
-        self, name: str, effective: dict[str, Precision]
-    ) -> list[DFGNode]:
-        """Forward nodes this op contributes: input casts (lines 6-10 of
-        Alg. 1), weight cast (lines 11-13), then the compute node."""
-        return catalog_forward_segment(
-            self.dag, self.catalog, self.cast_calc, name, effective
+    def _derive(self, name: str, effective: dict[str, Precision]) -> _Segment:
+        """Forward nodes (input casts, weight cast, compute — lines 6-13 of
+        Alg. 1) and backward nodes (gradient casts from successors, compute
+        — lines 17-24) this op contributes, priced from scratch."""
+        return _Segment(
+            catalog_forward_segment(
+                self.dag, self.catalog, self.cast_calc, name, effective
+            ),
+            catalog_backward_segment(
+                self.dag, self.catalog, self.cast_calc, name, effective
+            ),
         )
 
-    def _backward_segment(
-        self, name: str, effective: dict[str, Precision]
-    ) -> list[DFGNode]:
-        """Backward nodes this op contributes: gradient-format casts from
-        successors (lines 17-24; each successor hands back a gradient in its
-        own backward format), then the compute node."""
-        return catalog_backward_segment(
-            self.dag, self.catalog, self.cast_calc, name, effective
+    def _segment(
+        self, name: str, effective: dict[str, Precision], memo: dict | None
+    ) -> _Segment:
+        """:meth:`_derive`, served from ``memo`` when one is held.  The key
+        is flat: the op's name fixes how many neighbours follow."""
+        if memo is None:
+            return self._derive(name, effective)
+        preds, succs = self._adjacency()[name]
+        key = (
+            name,
+            effective[name],
+            *[effective[p] for p in preds],
+            *[effective[s] for s in succs],
         )
+        seg = memo.get(key)
+        if seg is None:
+            seg = memo[key] = self._derive(name, effective)
+        return seg
+
+    def _live_memo(self) -> dict | None:
+        """The held segment memo, emptied if the graph structure moved."""
+        memo = self._memo
+        if memo is not None and self._memo_structure != self.dag.structure_version:
+            memo.clear()
+            self._memo_structure = self.dag.structure_version
+        return memo
+
+    def hold_segment_memo(self) -> None:
+        """Start memoizing segments with an empty memo."""
+        self._memo = {}
+        self._memo_structure = self.dag.structure_version
+
+    def release_segment_memo(self) -> None:
+        """Drop the segment memo and every segment only it retained."""
+        self._memo = None
+
+    @property
+    def memo_entries(self) -> int:
+        """Segments currently held by the memo (0 when none is held)."""
+        return 0 if self._memo is None else len(self._memo)
 
     # ------------------------------------------------------------------
     # structure-only artifacts (independent of precisions)
     # ------------------------------------------------------------------
+    def _adjacency(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Op -> (predecessors, successors), in the DAG's order."""
+        structure = self.dag.structure_version
+        if self._adjacency_cache is None or self._adjacency_cache[0] != structure:
+            self._adjacency_cache = (
+                structure,
+                {
+                    name: (
+                        tuple(self.dag.predecessors(name)),
+                        tuple(self.dag.successors(name)),
+                    )
+                    for name in self.dag.topo_order()
+                },
+            )
+        return self._adjacency_cache[1]
+
     def _weighted_set(self) -> frozenset:
         structure = self.dag.structure_version
         if self._weighted_cache is None or self._weighted_cache[0] != structure:
@@ -357,39 +417,50 @@ class CostMapper:
     # ------------------------------------------------------------------
     # assembly: cached segments -> execution line
     # ------------------------------------------------------------------
+    def _stream_totals(self) -> tuple[float, float]:
+        """(forward, backward) stream totals of the retained segments, in
+        stream order — the one summation both :meth:`_assemble` and
+        :meth:`compute_time` use, so their floats cannot diverge."""
+        segs = self._state.segs
+        topo = self.dag.topo_order()
+        fwd_total = 0.0
+        for name in topo:
+            seg = segs[name]
+            if seg.fwd:
+                fwd_total += seg.fwd_dur
+        bwd_total = 0.0
+        for name in reversed(topo):
+            seg = segs[name]
+            if seg.bwd:
+                bwd_total += seg.bwd_dur
+        return fwd_total, bwd_total
+
     def _assemble(self, device_name: str, rank: int) -> LocalDFG:
         state = self._state
         assert state is not None
         dfg = LocalDFG(device_name, rank)
         topo = self.dag.topo_order()
         forward: list[DFGNode] = []
-        fwd_total = 0.0
         for name in topo:
-            seg = state.fwd_segs[name]
-            if seg:
-                forward.extend(seg)
-                fwd_total += state.fwd_durs[name]
+            forward.extend(state.segs[name].fwd)
         # Backward pass in reverse topological order, tracking each weighted
         # op's readiness anchor: its own backward node, or — when its
         # backward cost rounds to zero — the nearest preceding backward-
         # stream node (index -1 = ready at forward end), instead of
         # pessimistically deferring the bucket to the end of the backward.
         backward: list[DFGNode] = []
-        bwd_total = 0.0
         anchors: dict[str, int] = {}
         weighted = self._weighted_set()
         for name in reversed(topo):
-            seg = state.bwd_segs[name]
+            seg = state.segs[name]
             base = len(backward)
-            if seg:
-                backward.extend(seg)
-                bwd_total += state.bwd_durs[name]
+            backward.extend(seg.bwd)
             if name in weighted:
-                pos = state.bwd_pos[name]
+                pos = seg.bwd_pos
                 anchors[name] = (
-                    base + pos if pos is not None else base + len(seg) - 1
+                    base + pos if pos is not None else base + len(seg.bwd) - 1
                 )
-        dfg.load_streams(forward, backward, fwd_total, bwd_total)
+        dfg.load_streams(forward, backward, *self._stream_totals())
         buckets = self._buckets()
         dfg.set_buckets(
             buckets, bucket_readiness_from_stream(backward, buckets, anchors)
@@ -425,11 +496,7 @@ class CostMapper:
             effective, mem_wcopy, mem_act,
         )
         for name in topo:
-            state.set_segments(
-                name,
-                self._forward_segment(name, effective),
-                self._backward_segment(name, effective),
-            )
+            state.segs[name] = self._derive(name, effective)
         self._state = state
         self.full_rebuilds += 1
 
@@ -449,19 +516,17 @@ class CostMapper:
         dirty = self.dag.dirty_since(state.version)
         changed = propagate_dirty(self.dag, state.effective, dirty)
         affected = set(changed)
+        adjacency = self._adjacency()
         for name in changed:
-            affected.update(self.dag.successors(name))
-            affected.update(self.dag.predecessors(name))
-        # Memory contributions depend on assigned + effective precisions
-        # only, so dirty ∪ changed would suffice; the affected superset is
-        # used for uniformity (recomputing an unchanged op is idempotent).
-        affected.update(dirty)
+            preds, succs = adjacency[name]
+            affected.update(preds)
+            affected.update(succs)
+        memo = self._live_memo()
         for name in affected:
-            state.set_segments(
-                name,
-                self._forward_segment(name, state.effective),
-                self._backward_segment(name, state.effective),
-            )
+            state.segs[name] = self._segment(name, state.effective, memo)
+        # Memory contributions read only the op's own assigned and
+        # effective precisions.
+        for name in changed | dirty:
             wcopy, act = op_memory_contribution(
                 self.dag.spec(name), self.dag.precision(name),
                 state.effective[name],
@@ -485,6 +550,15 @@ class CostMapper:
         if state.dfg is not None and state.dfg_key == (device_name, rank):
             return state.dfg
         return self._assemble(device_name, rank)
+
+    def compute_time(self) -> float:
+        """The current DFG's ``compute_time`` (forward + backward +
+        optimizer) from the retained segment sums, without assembling
+        node lists, anchors or bucket readiness — bit-identical, since
+        :meth:`_assemble` sums the streams through the same helper."""
+        self.refresh()
+        fwd_total, bwd_total = self._stream_totals()
+        return fwd_total + bwd_total + self._optimizer_time()
 
     def memory_components(self) -> tuple[int, int, int]:
         """(weight-copy bytes, activation bytes, workspace bytes) under the
@@ -516,15 +590,16 @@ class CostMapper:
         topo = self.dag.topo_order()
         rev_ops = tuple(reversed(topo))
         weighted = self._weighted_set()
+        segs = state.segs
         return LocalLayout(
             rev_ops=rev_ops,
-            seg_lens=tuple(len(state.bwd_segs[n]) for n in rev_ops),
+            seg_lens=tuple(len(segs[n].bwd) for n in rev_ops),
             bwd_pos=tuple(
-                -1 if state.bwd_pos[n] is None else state.bwd_pos[n]
+                -1 if segs[n].bwd_pos is None else segs[n].bwd_pos
                 for n in rev_ops
             ),
-            fwd_sums_topo=tuple(state.fwd_durs[n] for n in topo),
-            bwd_sums=tuple(state.bwd_durs[n] for n in rev_ops),
+            fwd_sums_topo=tuple(segs[n].fwd_dur for n in topo),
+            bwd_sums=tuple(segs[n].bwd_dur for n in rev_ops),
             weighted=tuple(
                 i for i, n in enumerate(rev_ops) if n in weighted
             ),
@@ -565,21 +640,13 @@ class CostMapper:
         wcopy_total = state.mem_wcopy_total
         act_total = state.mem_act_total
         act_new: dict[str, int] = {}
+        memo = self._live_memo()
         for name in sorted(affected):
-            fwd = catalog_forward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
-            bwd = catalog_backward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
-            fwd_sums[name] = sum(node.duration for node in fwd)
-            bwd_sums[name] = sum(node.duration for node in bwd)
-            bwd_durs[name] = tuple(node.duration for node in bwd)
-            pos = -1
-            for i, node in enumerate(bwd):
-                if node.kind is NodeKind.BACKWARD:
-                    pos = i
-            bwd_pos[name] = pos
+            seg = self._segment(name, effective, memo)
+            fwd_sums[name] = seg.fwd_dur
+            bwd_sums[name] = seg.bwd_dur
+            bwd_durs[name] = tuple(node.duration for node in seg.bwd)
+            bwd_pos[name] = -1 if seg.bwd_pos is None else seg.bwd_pos
             assigned = (
                 new_precision if name == op else self.dag.precision(name)
             )

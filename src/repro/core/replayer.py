@@ -37,10 +37,18 @@ Caches (incremental mode only) — key; invalidation; bound:
 * ``_kernel_fast`` / ``_kernel_result_cache`` — (cluster, collective
   model, bits, per-type DAG versions) or the CompiledGlobal's identity
   (results and per-rank memory); replaced on mismatch; one entry each.
+* Each type mapper's segment memo (:meth:`CostMapper.hold_segment_memo`)
+  — (op, its effective precision, its predecessors' and successors'
+  effective precisions) -> the op's derived segment; emptied on a
+  ``structure_version`` move; held only inside :meth:`segment_memos`
+  (one ``Allocator.allocate()``), so it is bounded by the distinct
+  one-hop neighbourhoods one allocation visits and a retained replayer
+  keeps none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import types
 
@@ -368,6 +376,28 @@ class Replayer:
             return self._type_mappers[tname].build_local_dfg(tname, rank)
         dfg = self._type_dfg(tname)
         return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
+
+    def compute_time(self, rank: int) -> float:
+        """``local_dfg(rank).compute_time`` (no communication).  In
+        incremental mode the type mapper sums its retained segment
+        durations instead of assembling a DFG — the allocator's
+        brute-force trials read only this."""
+        if not self.incremental:
+            return self.local_dfg(rank).compute_time
+        return self._type_mappers[self._type_of[rank]].compute_time()
+
+    @contextlib.contextmanager
+    def segment_memos(self):
+        """Memoize every type mapper's segments for the block (see
+        :class:`CostMapper`), releasing them on exit so a retained
+        replayer does not grow."""
+        for mapper in self._type_mappers.values():
+            mapper.hold_segment_memo()
+        try:
+            yield
+        finally:
+            for mapper in self._type_mappers.values():
+                mapper.release_segment_memo()
 
     def build_global_dfg(self) -> GlobalDFG:
         return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])

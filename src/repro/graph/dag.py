@@ -36,6 +36,9 @@ class PrecisionDAG:
 
     def __init__(self) -> None:
         self._g = nx.DiGraph()
+        #: name -> the graph's own attribute dict of that node (``spec``,
+        #: ``precision``): the hot accessors skip networkx's node view.
+        self._attrs: dict[str, dict] = {}
         self._depth_cache: dict[str, int] | None = None
         self._version = 0
         self._structure_version = 0
@@ -76,6 +79,7 @@ class PrecisionDAG:
         if spec.name in self._g:
             raise GraphConsistencyError(f"duplicate operator name {spec.name!r}")
         self._g.add_node(spec.name, spec=spec, precision=precision)
+        self._attrs[spec.name] = self._g.nodes[spec.name]
         for src in inputs:
             if src not in self._g:
                 raise GraphConsistencyError(
@@ -90,6 +94,7 @@ class PrecisionDAG:
     def copy(self) -> "PrecisionDAG":
         out = PrecisionDAG()
         out._g = self._g.copy()
+        out._attrs = {name: out._g.nodes[name] for name in out._g}
         return out
 
     # ------------------------------------------------------------------
@@ -106,14 +111,14 @@ class PrecisionDAG:
         return self._g
 
     def spec(self, name: str) -> OperatorSpec:
-        return self._g.nodes[name]["spec"]
+        return self._attrs[name]["spec"]
 
     def precision(self, name: str) -> Precision:
-        return self._g.nodes[name]["precision"]
+        return self._attrs[name]["precision"]
 
     def set_precision(self, name: str, precision) -> None:
         prec = parse_precision(precision)
-        node = self._g.nodes[name]
+        node = self._attrs[name]
         if node["precision"] is prec:
             return  # no-op writes must not dirty downstream caches
         node["precision"] = prec
